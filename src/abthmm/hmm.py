@@ -122,21 +122,8 @@ class DiscreteHMM:
         Returns -inf when no state path supports the sequence.
         """
         obs = check_observations(obs, self.n_symbols)
-        alpha = self.startprob * self.emissionprob[:, obs[0]]
-        total = 0.0
-        s = alpha.sum()
-        if s == 0.0:
-            return -math.inf
-        total += math.log(s)
-        alpha /= s
-        for t in range(1, obs.shape[0]):
-            alpha = (alpha @ self.transmat) * self.emissionprob[:, obs[t]]
-            s = alpha.sum()
-            if s == 0.0:
-                return -math.inf
-            total += math.log(s)
-            alpha /= s
-        return total
+        logp, _, _ = _forward_batch(self, obs[None, :])
+        return float(logp[0])
 
     def score_total(self, sequences, weights=None):
         """Summed log-likelihood over many sequences (fsum, deterministic)."""
@@ -161,28 +148,30 @@ class DiscreteHMM:
             The path itself; ties are broken toward the lower state index.
         """
         obs = check_observations(obs, self.n_symbols)
-        with np.errstate(divide="ignore"):
-            log_a = np.log(self.transmat)
-            log_b = np.log(self.emissionprob)
-            log_pi = np.log(self.startprob)
-        t_len = obs.shape[0]
-        delta = log_pi + log_b[:, obs[0]]
-        back = np.zeros((t_len, self.n_states), dtype=np.int64)
-        for t in range(1, t_len):
-            cand = delta[:, None] + log_a
-            back[t] = np.argmax(cand, axis=0)
-            delta = cand[back[t], np.arange(self.n_states)] + log_b[:, obs[t]]
-            if np.all(np.isinf(delta)):
-                raise ImpossibleSequenceError(
-                    f"sequence impossible under the model at step {t}"
-                )
-        if np.all(np.isinf(delta)):
-            raise ImpossibleSequenceError("sequence impossible under the model")
-        states = np.zeros(t_len, dtype=np.int64)
-        states[-1] = int(np.argmax(delta))
-        for t in range(t_len - 1, 0, -1):
-            states[t - 1] = back[t, states[t]]
-        return float(delta[states[-1]]), states
+        logp, paths = _viterbi_batch(self, obs[None, :])
+        return float(logp[0]), paths[0]
+
+    def decode_all(self, sequences):
+        """Viterbi over many sequences at once.
+
+        Returns
+        -------
+        logprobs : ndarray, shape (n_sequences,)
+            Log-likelihood of each best path, in input order.
+        paths : list of ndarray
+            The best paths, in input order; each equals ``decode(seq)[1]``.
+
+        Raises ImpossibleSequenceError if any sequence has probability zero.
+        """
+        seqs = [check_observations(seq, self.n_symbols) for seq in sequences]
+        logprobs = np.empty(len(seqs))
+        paths = [None] * len(seqs)
+        for idx in _by_length(seqs).values():
+            logp, batch = _viterbi_batch(self, np.stack([seqs[i] for i in idx]))
+            logprobs[idx] = logp
+            for i, path in zip(idx, batch):
+                paths[i] = path
+        return logprobs, paths
 
     def predict(self, obs):
         """Viterbi state path without the score."""
@@ -327,6 +316,55 @@ def _forward_batch(model, obs):
     return logp, alpha, scale
 
 
+# Upper bound on the elements of the (B, N, N) candidate array that
+# _viterbi_batch builds per step; larger batches are decoded in chunks.
+_VITERBI_CHUNK_ELEMENTS = 1 << 22
+
+
+def _viterbi_batch(model, obs):
+    """Log-space Viterbi over a batch of equal-length sequences.
+
+    Returns the best-path log-likelihoods, shape (B,), and the paths,
+    shape (B, T). Ties go to the lower state index at every step. Raises
+    ImpossibleSequenceError if any sequence has probability zero.
+    """
+    b_count, t_len = obs.shape
+    n = model.n_states
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transmat)
+        log_pi = np.log(model.startprob)
+    rows = max(1, _VITERBI_CHUNK_ELEMENTS // (n * n))
+    logp = np.empty(b_count)
+    paths = np.empty((b_count, t_len), dtype=np.int64)
+    for lo in range(0, b_count, rows):
+        chunk = obs[lo:lo + rows]
+        with np.errstate(divide="ignore"):
+            log_b = np.log(model.emissionprob.T[chunk])  # (B, T, N)
+        back = np.empty((chunk.shape[0], t_len, n), dtype=np.int64)
+        delta = log_pi + log_b[:, 0]
+        for t in range(1, t_len):
+            cand = delta[:, :, None] + log_a
+            back[:, t] = np.argmax(cand, axis=1)
+            delta = cand.max(axis=1) + log_b[:, t]
+        if np.any(np.all(np.isinf(delta), axis=1)):
+            raise ImpossibleSequenceError("sequence impossible under the model")
+        out = paths[lo:lo + rows]
+        out[:, -1] = np.argmax(delta, axis=1)
+        logp[lo:lo + rows] = delta.max(axis=1)
+        pick = np.arange(chunk.shape[0])
+        for t in range(t_len - 1, 0, -1):
+            out[:, t - 1] = back[pick, t, out[:, t]]
+    return logp, paths
+
+
+def _by_length(sequences):
+    """Indices of the sequences grouped by length, in first-seen order."""
+    groups = {}
+    for i, seq in enumerate(sequences):
+        groups.setdefault(len(seq), []).append(i)
+    return groups
+
+
 def _bucket(sequences, weights, n_symbols):
     """Merge duplicate sequences and group by length.
 
@@ -340,15 +378,13 @@ def _bucket(sequences, weights, n_symbols):
     for seq, w in zip(sequences, weights):
         key = tuple(int(x) for x in check_observations(seq, n_symbols))
         merged[key] = merged.get(key, 0.0) + float(w)
-    by_len = {}
-    for key, w in merged.items():
-        by_len.setdefault(len(key), ([], []))
-        by_len[len(key)][0].append(key)
-        by_len[len(key)][1].append(w)
+    keys = list(merged)
     buckets = []
-    for t_len in sorted(by_len):
-        seqs, ws = by_len[t_len]
-        buckets.append((np.asarray(seqs, dtype=np.int64), np.asarray(ws)))
+    for _, idx in sorted(_by_length(keys).items()):
+        buckets.append((
+            np.asarray([keys[i] for i in idx], dtype=np.int64),
+            np.asarray([merged[keys[i]] for i in idx]),
+        ))
     total = math.fsum(float(ws.sum()) for _, ws in buckets)
     return buckets, total
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import dsl
 from .compiler import LabeledHMM, EdgeLabel, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _draw
+from .hmm import DiscreteHMM, _by_length, _draw
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP, execute
 
 DEFAULT_N_SEQUENCES = 15_000
@@ -228,21 +228,32 @@ def with_synthetic_emissions(model, ratio, sigma=2.0, n_symbols=None):
 def sed(a, b):
     """Levenshtein distance between two sequences over the length of the
     second (the reference)."""
-    b = list(b)
-    if not b:
+    codes = {}
+    a = [codes.setdefault(x, len(codes)) for x in a]
+    b = [codes.setdefault(x, len(codes)) for x in b]
+    return float(_sed_batch(
+        np.asarray(a, dtype=np.int64)[None, :], np.asarray(b, dtype=np.int64)[None, :]
+    )[0])
+
+
+def _sed_batch(a, b):
+    """sed over a batch of pairs: a has shape (B, m), b has shape (B, n).
+
+    The dynamic programme runs one row (one symbol of a) at a time,
+    vectorized over the batch and along the row.
+    """
+    n = b.shape[1]
+    if n == 0:
         raise ValueError("reference sequence is empty")
-    a = list(a)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (x != y),
-            ))
-        prev = cur
-    return prev[-1] / len(b)
+    j = np.arange(n + 1)
+    row = np.broadcast_to(j, (b.shape[0], n + 1))
+    for i in range(a.shape[1]):
+        cur = np.empty_like(row)
+        cur[:, 0] = i + 1
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + (a[:, i, None] != b), out=cur[:, 1:])
+        # insertions: cur[k] = min over l <= k of cur[l] + (k - l)
+        row = np.minimum.accumulate(cur - j, axis=1) + j
+    return row[:, -1] / n
 
 
 def rms_nonzero(a_ref, a_est):
@@ -414,10 +425,13 @@ def run_sweep(cfg, kind, *, abt=None):
             total = model.score_total(cell.dataset.observations())
             rows.append(MetricRow(logp_per_seq=total / n, **common))
         elif kind == "viterbi":
-            dists = [
-                sed(model.predict(obs), truth)
-                for obs, truth in zip(cell.dataset.observations(), cell.dataset.state_paths())
-            ]
+            truths = cell.dataset.state_paths()
+            _, paths = model.decode_all(cell.dataset.observations())
+            dists = np.empty(n)
+            for idx in _by_length(truths).values():
+                dists[idx] = _sed_batch(
+                    np.stack([paths[i] for i in idx]), np.stack([truths[i] for i in idx])
+                )
             rows.append(MetricRow(mean_sed=float(np.mean(dists)), **common))
         else:
             fitted = model.copy()

@@ -127,6 +127,25 @@ def brute_viterbi(pi, a, b, obs):
     return best, best_path
 
 
+def brute_sed(a, b):
+    """Levenshtein distance over len(b) by the textbook row-by-row loop."""
+    b = list(b)
+    if not b:
+        raise ValueError("reference sequence is empty")
+    a = list(a)
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (x != y),
+            ))
+        prev = cur
+    return prev[-1] / len(b)
+
+
 def random_hmm_instance(rng, max_states=5, max_symbols=6):
     """A small random dense-ish model plus one observable sequence."""
     n = int(rng.integers(2, max_states + 1))

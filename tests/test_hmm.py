@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abthmm import hmm as hmm_module
 from abthmm.hmm import DiscreteHMM, ImpossibleSequenceError, load_hmm, save_hmm
 
 from conftest import (
@@ -139,6 +140,54 @@ def test_score_total_equals_sum_of_scores():
     weighted = model.score_total(seqs[:3], weights=[1.0, 2.0, 3.0])
     want = (model.score(seqs[0]) + 2 * model.score(seqs[1]) + 3 * model.score(seqs[2]))
     assert weighted == pytest.approx(want, abs=1e-9)
+
+
+def mixed_length_corpus(model, rng):
+    return [s for t in (3, 1, 5, 3, 2, 5, 1, 3) for s in chain_corpus(model, 1, t, rng)]
+
+
+def test_decode_all_matches_exhaustive_and_decode():
+    rng = np.random.default_rng(505)
+    for _ in range(12):
+        pi, a, b, _ = random_hmm_instance(rng)
+        model = DiscreteHMM(pi, a, b)
+        seqs = mixed_length_corpus(model, rng)
+        logps, paths = model.decode_all(seqs)
+        assert len(logps) == len(paths) == len(seqs)
+        for obs, lp, path in zip(seqs, logps, paths):
+            want_lp, want_path = brute_viterbi(pi, a, b, obs)
+            assert lp == pytest.approx(want_lp, abs=1e-8)
+            assert tuple(path) == want_path
+            one_lp, one_path = model.decode(obs)
+            assert lp == one_lp
+            assert np.array_equal(path, one_path)
+
+
+def test_decode_all_tie_breaks_toward_low_state_index():
+    model = DiscreteHMM([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]])
+    _, paths = model.decode_all([[0, 0, 0], [0], [0, 0, 0], [0, 0]])
+    assert [list(p) for p in paths] == [[0, 0, 0], [0], [0, 0, 0], [0, 0]]
+
+
+def test_decode_all_rejects_a_batch_with_an_impossible_sequence():
+    zero = DiscreteHMM([1.0, 0.0], [[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    assert zero.decode_all([[0, 1], [0]])[0].tolist() == [0.0, 0.0]
+    with pytest.raises(ImpossibleSequenceError):
+        zero.decode_all([[0, 1], [1, 1], [0]])
+    with pytest.raises(ImpossibleSequenceError):
+        zero.decode_all([[0, 1], [1]])
+
+
+def test_decode_all_is_unchanged_by_chunking(monkeypatch):
+    rng = np.random.default_rng(606)
+    pi, a, b, _ = random_hmm_instance(rng)
+    model = DiscreteHMM(pi, a, b)
+    seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
+    want_lp, want_paths = model.decode_all(seqs)
+    monkeypatch.setattr(hmm_module, "_VITERBI_CHUNK_ELEMENTS", 1)  # one row per chunk
+    got_lp, got_paths = model.decode_all(seqs)
+    assert np.array_equal(got_lp, want_lp)
+    assert all(np.array_equal(g, w) for g, w in zip(got_paths, want_paths))
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from abthmm.simulate import (
     rms_nonzero,
     rollout_dataset,
     run_sweep,
+    _sed_batch,
     sed,
     sweep_cells,
     with_synthetic_emissions,
@@ -26,6 +27,8 @@ from abthmm.simulate import (
     write_metrics,
 )
 from abthmm.tree import SUCCESS
+
+from conftest import brute_sed
 
 
 def seed_with_first_draw(bit):
@@ -208,6 +211,28 @@ def test_sed_is_a_scaled_edit_distance(a, b):
     assert (d == 0) == (a == b)
     if a:
         assert sed(a, b) * len(b) == pytest.approx(sed(b, a) * len(a))
+
+
+@st.composite
+def sed_batches(draw):
+    """Pairs sharing one length of a and one of b; a may be empty."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.one_of(st.just(0), st.just(n), st.integers(0, 7)))
+    k = draw(st.integers(1, 5))
+    return [
+        (draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+         draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        for _ in range(k)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sed_batches())
+def test_sed_batch_matches_textbook_loop(pairs):
+    a = np.array([p for p, _ in pairs], dtype=np.int64).reshape(len(pairs), -1)
+    b = np.array([q for _, q in pairs], dtype=np.int64)
+    got = _sed_batch(a, b)
+    assert got.tolist() == [brute_sed(p, q) for p, q in pairs]
 
 
 def test_rms_nonzero_hand_value():
