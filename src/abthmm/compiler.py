@@ -17,7 +17,7 @@ combination of child positions.
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .tree import (
     canonicalize,
     leaves_of,
     n_leaves,
+    parallel_outcome,
     successor_map,
     validate_abt,
 )
@@ -62,12 +63,14 @@ def _state_cap(explicit):
 
 @dataclass(frozen=True)
 class EdgeLabel:
-    """Outcome labeling of one leaf state's two outgoing transitions."""
+    """Outcome labeling of one leaf state's two outgoing transitions.
+
+    Only the targets are kept; the probabilities live in the model's
+    transition matrix, at transmat[state, target].
+    """
 
     succ_target: int
-    succ_prob: float
     fail_target: int
-    fail_prob: float
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def compile_abt(abt, *, state_cap=None):
             a[q, st] += ps
             a[q, ft] += 1.0 - ps
             b[q, :j_symbols] = node.stats.emission
-            edges[q] = EdgeLabel(st, ps, ft, 1.0 - ps)
+            edges[q] = EdgeLabel(st, ft)
             labels[q] = node.name
             leaf_states[g] = q
         else:
@@ -416,7 +419,6 @@ def _product_states(specs, threshold, cap):
 
 def _expand(state, specs, threshold):
     """All one-step moves out of a product state with their probabilities."""
-    k = len(specs)
     running = [i for i, m in enumerate(state) if m[0] == "run"]
     out = []
     for outcomes in itertools.product((SUCCESS, FAILURE), repeat=len(running)):
@@ -430,96 +432,11 @@ def _expand(state, specs, threshold):
         if prob == 0.0:
             continue
         if all(m[0] == "done" for m in nxt):
-            wins = sum(1 for m in nxt if m[1] == SUCCESS)
-            col = "S" if wins / k >= threshold - 1e-12 else "F"
-            out.append((col, prob))
+            won = parallel_outcome(nxt, threshold) == SUCCESS
+            out.append(("S" if won else "F", prob))
         else:
             out.append((tuple(nxt), prob))
     return out
-
-
-def product_parallel(children, threshold, *, state_cap=None):
-    """Combine compiled child models into one standalone parallel model.
-
-    The children advance in lockstep, so each product row carries one cell
-    per combination of child outcomes. Once every child has finished, the
-    walk moves to the success output state iff the fraction of successful
-    children reaches the threshold. Joint symbols are the mixed-radix
-    encoding of the child symbols, first child most significant.
-    """
-    if len(children) < 2:
-        raise ValueError("parallel needs at least two children")
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold {threshold} outside (0, 1]")
-    specs = []
-    for child in children:
-        if child.retry_ranges or child.blocks:
-            raise UnsupportedStructureError(
-                "parallel children must be plain compiled trees"
-            )
-        width = child.o_s
-        succ, fail, ps, rows = {}, {}, {}, {}
-        for i in range(width):
-            e = child.edges[i]
-            if e is None:
-                raise UnsupportedStructureError("child is missing edge labels")
-            succ[i] = _local_status(e.succ_target, width, 0)
-            fail[i] = _local_status(e.fail_target, width, 0)
-            ps[i] = e.succ_prob
-            rows[i] = child.hmm.emissionprob[i]
-        done = {
-            SUCCESS: child.hmm.emissionprob[child.o_s],
-            FAILURE: child.hmm.emissionprob[child.o_f],
-        }
-        specs.append(_ChildSpec(0, succ, fail, ps, rows, done, width))
-
-    cap = _state_cap(state_cap)
-    states, trans, emit, n_core = _product_states(specs, threshold, cap)
-    n = len(states) + 2
-    if n > cap:
-        raise StateCapError(f"product blow-up: {n} states exceed the cap of {cap}")
-    o_s, o_f = n - 2, n - 1
-    a = np.zeros((n, n))
-    for r, cells in enumerate(trans):
-        for col, prob in cells:
-            if col == "S":
-                a[r, o_s] += prob
-            elif col == "F":
-                a[r, o_f] += prob
-            else:
-                a[r, col] += prob
-    a[o_s, o_s] = 1.0
-    a[o_f, o_f] = 1.0
-    term_s = np.ones(1)
-    term_f = np.ones(1)
-    for child in children:
-        term_s = np.kron(term_s, child.hmm.emissionprob[child.o_s])
-        term_f = np.kron(term_f, child.hmm.emissionprob[child.o_f])
-    b = np.vstack([emit, term_s, term_f])
-    pi = np.zeros(n)
-    pi[0] = 1.0
-
-    labels = []
-    for status in states:
-        parts = []
-        for child, marker in zip(children, status):
-            if marker[0] == "run":
-                parts.append(str(child.labels[marker[1]]))
-            else:
-                parts.append(marker[1])
-        labels.append("(" + "|".join(parts) + ")")
-    labels += [SUCCESS_LABEL, FAILURE_LABEL]
-
-    block = ParallelBlock(0, tuple(states), float(threshold), o_s, o_f, n_core)
-    return LabeledHMM(
-        hmm=DiscreteHMM(pi, a, b),
-        edges=tuple([None] * len(states) + [None, None]),
-        o_s=o_s,
-        o_f=o_f,
-        labels=tuple(labels),
-        leaf_states=(),
-        blocks=(block,),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -561,24 +478,18 @@ def apply_retry(model, start, stop=None):
             if not (start <= e.fail_target < stop):
                 a[i, start] += a[i, e.fail_target]
                 a[i, e.fail_target] = 0.0
-                edges[i] = EdgeLabel(e.succ_target, e.succ_prob, start, e.fail_prob)
+                edges[i] = replace(e, fail_target=start)
     for bi, blk in enumerate(blocks):
         if start <= blk.first and blk.first + blk.n_states <= stop:
             if not (start <= blk.fail_target < stop):
                 for r in range(blk.first, blk.first + blk.n_states):
                     a[r, start] += a[r, blk.fail_target]
                     a[r, blk.fail_target] = 0.0
-                blocks[bi] = ParallelBlock(
-                    blk.first, blk.statuses, blk.threshold,
-                    blk.succ_target, start, blk.n_core,
-                )
-    return LabeledHMM(
+                blocks[bi] = replace(blk, fail_target=start)
+    return replace(
+        model,
         hmm=DiscreteHMM(model.hmm.startprob.copy(), a, model.hmm.emissionprob.copy()),
         edges=tuple(edges),
-        o_s=model.o_s,
-        o_f=model.o_f,
-        labels=model.labels,
-        leaf_states=model.leaf_states,
         retry_ranges=model.retry_ranges + ((start, stop),),
         blocks=tuple(blocks),
     )
@@ -685,9 +596,9 @@ def decompile(model):
 
 
 def _leaf_of(model, i):
-    e = model.edges[i]
+    ps = float(model.hmm.transmat[i, model.edges[i].succ_target])
     name = model.labels[i] if model.labels and model.labels[i] else f"l{i}"
-    return Leaf(name, LeafStats(e.succ_prob, tuple(model.hmm.emissionprob[i])))
+    return Leaf(name, LeafStats(ps, tuple(model.hmm.emissionprob[i])))
 
 
 def _parse_range(model, a, b, s, f, forbid=None):
@@ -827,7 +738,7 @@ class StructureShape:
         for i, (st, ft) in enumerate(self.edge_targets()):
             a[i, st] += ps
             a[i, ft] += 1.0 - ps
-            edges.append(EdgeLabel(st, float(ps), ft, 1.0 - float(ps)))
+            edges.append(EdgeLabel(st, ft))
         a[l, l] = 1.0
         a[l + 1, l + 1] = 1.0
         pi = np.zeros(n)
@@ -888,13 +799,22 @@ def enumerate_structures(l):
 
 
 def save_model(model, path):
-    """Write a labeled model to a file; see hmm.save_hmm for the format."""
+    """Write a labeled model to a file; see hmm.save_hmm for the format.
+
+    The format has no place for parallel block bookkeeping, so models with
+    parallel blocks are refused with UnsupportedStructureError rather than
+    written without it.
+    """
+    if model.blocks:
+        raise UnsupportedStructureError(
+            "models with parallel blocks cannot be written to a model file"
+        )
     save_hmm(model.hmm, path, labels=model.labels, edge_labels=model.edge_label_strings())
 
 
 def load_model(path):
     """Read a labeled model back. Retry back-edges survive through their
-    edge labels; parallel block bookkeeping is not persisted."""
+    edge labels; transition probabilities are read from the matrix alone."""
     hmm, labels, edge_strings = load_hmm(path)
     n = hmm.n_states
     o_s, o_f = n - 2, n - 1
@@ -913,7 +833,7 @@ def load_model(path):
             ft = int(f_part.removeprefix("F:"))
         except (ValueError, AttributeError):
             raise ValueError(f"bad edge label for state {i}: {text!r}")
-        edges.append(EdgeLabel(st, float(hmm.transmat[i, st]), ft, float(hmm.transmat[i, ft])))
+        edges.append(EdgeLabel(st, ft))
     retry = []
     for i, e in enumerate(edges):
         if e is not None and e.fail_target <= i:

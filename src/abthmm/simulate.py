@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dsl
-from .compiler import LabeledHMM, EdgeLabel, compile_abt
+from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
 from .hmm import DiscreteHMM, _by_length, _draw
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP, execute
@@ -159,23 +159,13 @@ def perturb_hmm(model, spec):
     complement. Zero pattern, targets, emissions and start vector stay as
     they are. p_tilde of zero returns an unchanged copy.
     """
-    new = LabeledHMM(
-        hmm=model.hmm.copy(),
-        edges=model.edges,
-        o_s=model.o_s,
-        o_f=model.o_f,
-        labels=model.labels,
-        leaf_states=model.leaf_states,
-        retry_ranges=model.retry_ranges,
-        blocks=model.blocks,
-    )
+    new = replace(model, hmm=model.hmm.copy())
     if spec.p_tilde == 0.0:
         return new
     rng = np.random.default_rng(spec.seed)
     a = new.hmm.transmat
-    edges = list(new.edges)
     for i in range(model.n_states):
-        if edges[i] is None:
+        if model.edges[i] is None:
             continue
         r = 1.0 if rng.integers(0, 2) == 1 else -1.0
         cols = np.nonzero(a[i])[0]
@@ -185,12 +175,7 @@ def perturb_hmm(model, spec):
         p1 = float(np.clip((1.0 + spec.p_tilde * r) * a[i, c1], 0.05, 0.95))
         a[i, c1] = p1
         a[i, c2] = 1.0 - p1
-        e = edges[i]
-        edges[i] = EdgeLabel(
-            e.succ_target, float(a[i, e.succ_target]),
-            e.fail_target, float(a[i, e.fail_target]),
-        )
-    return replace(new, edges=tuple(edges))
+    return new
 
 
 def randomize_hmm(model, seed):

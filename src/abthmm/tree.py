@@ -311,9 +311,14 @@ def _execute_parallel(node, leaf_offset):
                 raise UnsupportedStructureError("parallel children must be plain subtrees")
             statuses[i] = ("run", idx)
         if all(s[0] == "done" for s in statuses):
-            wins = sum(1 for s in statuses if s[1] == SUCCESS)
-            frac = wins / len(statuses)
-            return SUCCESS if frac >= node.threshold - 1e-12 else FAILURE
+            return parallel_outcome(statuses, node.threshold)
+
+
+def parallel_outcome(statuses, threshold):
+    """Outcome of a finished parallel node: SUCCESS iff the share of its
+    ("done", outcome) statuses that succeeded reaches the threshold."""
+    wins = sum(1 for s in statuses if s[1] == SUCCESS)
+    return SUCCESS if wins / len(statuses) >= threshold - 1e-12 else FAILURE
 
 
 def tick(abt, outcomes):

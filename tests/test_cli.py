@@ -143,6 +143,18 @@ def test_missing_file_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_compile_refuses_a_parallel_tree(tmp_path, capsys):
+    tree = tmp_path / "par.abt"
+    tree.write_text(
+        "(ratio 1.0)\n(parallel :threshold 1.0\n"
+        "  (leaf p :ps 0.9 :emit (gauss))\n  (leaf q :ps 0.8 :emit (gauss)))\n"
+    )
+    out = tmp_path / "par.json"
+    assert main(["compile", str(tree), "-o", str(out)]) == 1
+    assert "parallel blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_model_file_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{}")

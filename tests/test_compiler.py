@@ -13,9 +13,10 @@ from abthmm.compiler import (
     decompile,
     enumerate_structures,
     load_model,
-    product_parallel,
     save_model,
 )
+from abthmm.dsl import serialize
+from abthmm.simulate import rollout_dataset
 from abthmm.tree import (
     ABTDefinition,
     Leaf,
@@ -61,7 +62,7 @@ def test_compile_small_exemplar_matrix(pick_place_model):
     assert np.array_equal(m.a, want)
     assert m.labels == ("approach", "grasp", "place", "regrasp", "success", "failure")
     assert m.leaf_states == (0, 1, 2, 3)
-    assert m.edges[2] == EdgeLabel(4, 0.9, 3, 1 - 0.9)
+    assert m.edges[2] == EdgeLabel(4, 3)
     assert m.edges[4] is None and m.edges[5] is None
     assert m.edge_label_strings()[:3] == ["S:1 F:5", "S:2 F:5", "S:4 F:3"]
 
@@ -371,34 +372,6 @@ def test_parallel_multi_leaf_children_product():
     assert check_constraints(m).ok is False or True  # structure is block-shaped
 
 
-def test_product_parallel_standalone_matches_compile():
-    c1 = compile_abt(abt_of(plain_leaf("p", 0.9)))
-    c2 = compile_abt(abt_of(plain_leaf("q", 0.8)))
-    prod = product_parallel([c1, c2], 1.0)
-    assert prod.labels == ("(p|q)", "success", "failure")
-    assert prod.a[0, prod.o_s] == pytest.approx(0.72)
-    assert np.allclose(
-        prod.b[prod.o_s],
-        np.kron(c1.b[c1.o_s], c2.b[c2.o_s]),
-    )
-    # compiling the same parallel as a whole tree swaps in the tree's own
-    # output rows for the terminals but keeps the dynamics
-    whole = compile_abt(abt_of(Parallel((plain_leaf("p", 0.9), plain_leaf("q", 0.8)), 1.0)))
-    assert np.allclose(prod.a, whole.a)
-    assert np.allclose(prod.b[0], whole.b[0])
-
-
-def test_product_parallel_argument_errors():
-    c1 = compile_abt(abt_of(plain_leaf("p", 0.9)))
-    with pytest.raises(ValueError):
-        product_parallel([c1], 1.0)
-    with pytest.raises(ValueError):
-        product_parallel([c1, c1], 0.0)
-    retried = apply_retry(c1, 0, 1)
-    with pytest.raises(UnsupportedStructureError):
-        product_parallel([retried, c1], 1.0)
-
-
 def test_parallel_children_must_be_plain():
     with pytest.raises(UnsupportedStructureError):
         compile_abt(abt_of(Parallel((Retry(plain_leaf("a", 0.5)), plain_leaf("b", 0.5)), 1.0)))
@@ -458,6 +431,26 @@ def test_save_load_model_keeps_retry_ranges(tmp_path):
     loaded = load_model(path)
     assert loaded.retry_ranges == m.retry_ranges
     assert loaded.edges == m.edges
+
+
+def test_save_model_refuses_parallel_blocks(tmp_path):
+    m = compile_abt(abt_of(Parallel((plain_leaf("p", 0.9), plain_leaf("q", 0.8)), 1.0)))
+    path = tmp_path / "par.json"
+    with pytest.raises(UnsupportedStructureError, match="parallel blocks"):
+        save_model(m, path)
+    assert not path.exists()
+
+
+def test_fitted_model_decompiles_to_its_fitted_probabilities(tmp_path, pick_place):
+    m = compile_abt(pick_place)
+    m.hmm.updates = "t"
+    m.hmm.fit(rollout_dataset(pick_place, 2000, seed=1).observations())
+    back = decompile(m)
+    for q, leaf in zip(m.leaf_states, back.leaves):
+        assert leaf.stats.ps == m.a[q, m.edges[q].succ_target]
+    path = tmp_path / "fitted.json"
+    save_model(m, path)
+    assert serialize(back) == serialize(decompile(load_model(path)))
 
 
 def test_load_model_rejects_corrupt_files(tmp_path):
