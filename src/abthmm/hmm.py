@@ -163,11 +163,11 @@ class DiscreteHMM:
 
         Raises ImpossibleSequenceError if any sequence has probability zero.
         """
-        seqs = [check_observations(seq, self.n_symbols) for seq in sequences]
+        seqs = list(sequences)
         logprobs = np.empty(len(seqs))
         paths = [None] * len(seqs)
-        for idx in _by_length(seqs).values():
-            logp, batch = _viterbi_batch(self, np.stack([seqs[i] for i in idx]))
+        for idx, obs in _stacked(seqs, self.n_symbols):
+            logp, batch = _viterbi_batch(self, obs)
             logprobs[idx] = logp
             for i, path in zip(idx, batch):
                 paths[i] = path
@@ -188,25 +188,8 @@ class DiscreteHMM:
         ``absorbing`` is None the states with a unit self-loop are used.
         """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        if absorbing is None:
-            absorbing = {i for i in range(self.n_states) if self.transmat[i, i] == 1.0}
-        else:
-            absorbing = set(int(i) for i in absorbing)
-        if not absorbing:
-            raise ValueError("model has no absorbing states; pass them explicitly")
-        emit_cdf = np.cumsum(self.emissionprob, axis=1)
-        trans_cdf = np.cumsum(self.transmat, axis=1)
-        start_cdf = np.cumsum(self.startprob)
-        states = []
-        obs = []
-        state = _draw(start_cdf, rng)
-        for _ in range(max_steps):
-            states.append(state)
-            obs.append(_draw(emit_cdf[state], rng))
-            if state in absorbing:
-                return np.asarray(states, dtype=np.int64), np.asarray(obs, dtype=np.int64)
-            state = _draw(trans_cdf[state], rng)
-        raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+        states, obs, _ = _sample_batch(self, 1, rng, absorbing, max_steps)
+        return states, obs
 
     # ------------------------------------------------------------------
     # fitting
@@ -284,6 +267,81 @@ class DiscreteHMM:
             nxt = self.emissionprob[:, obs[:, t + 1]].T * beta[:, t + 1, :]
             beta[:, t, :] = (nxt @ self.transmat.T) / scale[:, t + 1, None]
         return beta
+
+
+# Largest block of steps whose uniforms _sample_batch draws at once (two
+# a step). Its scratch memory, about n_states + 3 numbers a step, is
+# bounded by this whatever the number of runs.
+_SAMPLE_BLOCK_STEPS = 1024
+
+
+def _sample_batch(model, n, rng, absorbing, max_steps=10_000):
+    """Draw n runs: exactly the runs of n step-by-step walks on ``rng``.
+
+    A run starts from startprob, emits in every visited state and stops
+    right after emitting once in a state of ``absorbing`` (None: the states
+    with a unit self-loop). A step reads two uniforms: one picks the state
+    (from startprob at the start of a run, else from the previous state's
+    row), the next one the symbol. Uniforms are drawn in blocks that double
+    from 32 steps up to _SAMPLE_BLOCK_STEPS; the unused rest of the last
+    block is handed back, so ``rng`` ends where the walks would leave it.
+
+    Returns the states and the symbols of all runs back to back, as flat
+    int64 arrays, and the offset at which each run ends.
+    """
+    if absorbing is None:
+        absorbing = {i for i in range(model.n_states) if model.transmat[i, i] == 1.0}
+    else:
+        absorbing = {int(i) for i in absorbing}
+    if not absorbing:
+        raise ValueError("model has no absorbing states; pass them explicitly")
+    start_cdf = np.cumsum(model.startprob)
+    trans_cdf = np.cumsum(model.transmat, axis=1)
+    emit_cdf = np.cumsum(model.emissionprob, axis=1)
+    states, marks, ends = [], [], []
+    run_len, steps = 0, 16
+    while len(ends) < n:
+        steps = min(2 * steps, _SAMPLE_BLOCK_STEPS)
+        saved = rng.bit_generator.state
+        u = rng.random(2 * steps)
+        picks = u[0::2]
+        first = _lookup(start_cdf, picks).tolist()
+        nxt = [None] * model.n_states  # a state's row of lookups, made on its first visit
+        for k in range(steps):
+            if run_len:
+                row = nxt[state]
+                if row is None:
+                    row = nxt[state] = _lookup(trans_cdf[state], picks).tolist()
+                state = row[k]
+            else:
+                state = first[k]
+            states.append(state)
+            run_len += 1
+            if state in absorbing:
+                ends.append(len(states))
+                run_len = 0
+                if len(ends) == n:
+                    break
+            elif run_len == max_steps:
+                raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+        used = k + 1
+        marks.append(u[1:2 * used:2])
+        if used < steps:
+            rng.bit_generator.state = saved
+            rng.random(2 * used)
+    states = np.asarray(states, dtype=np.int64)
+    marks = np.concatenate(marks) if marks else np.empty(0)
+    obs = np.empty_like(states)
+    for q in set(states.tolist()):
+        at = states == q
+        obs[at] = _lookup(emit_cdf[q], marks[at])
+    return states, obs, np.asarray(ends, dtype=np.int64)
+
+
+def _lookup(cdf, u):
+    """Indices of the uniforms ``u`` in a cumulative row, clamped to the
+    last index as in _draw."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
 
 
 def _draw(cdf, rng):
@@ -365,26 +423,50 @@ def _by_length(sequences):
     return groups
 
 
+def _stacked(sequences, n_symbols):
+    """Validated observation sequences grouped by length.
+
+    Returns (indices, obs) pairs in the order of ``_by_length``: obs is the
+    (B, T) int64 matrix of the sequences at those indices. Each group is
+    checked by one check_observations call; if a check fails, the sequences
+    are checked one by one so the error is the one the first bad sequence
+    raises on its own.
+    """
+    try:
+        groups = []
+        for idx in _by_length(sequences).values():
+            obs = np.asarray([sequences[i] for i in idx])
+            if obs.ndim != 2:
+                raise ValueError("a sequence is not flat")
+            groups.append((idx, check_observations(obs.ravel(), n_symbols).reshape(obs.shape)))
+        return groups
+    except (TypeError, ValueError):
+        for seq in sequences:
+            check_observations(seq, n_symbols)
+        raise
+
+
 def _bucket(sequences, weights, n_symbols):
     """Merge duplicate sequences and group by length.
 
-    Returns a list of (obs_matrix, weight_vector) pairs and the total weight.
+    Returns a list of (obs_matrix, weight_vector) pairs, one per length in
+    increasing order, and the total weight. Within a pair the distinct
+    sequences are in first-seen order, and each weight is the sum, in input
+    order, of the weights of its copies.
     """
-    if weights is None:
-        weights = [1.0] * len(sequences)
+    weights = np.ones(len(sequences)) if weights is None else np.asarray(weights, dtype=np.float64)
     if len(weights) != len(sequences):
         raise ValueError("weights length does not match sequences")
-    merged = {}
-    for seq, w in zip(sequences, weights):
-        key = tuple(int(x) for x in check_observations(seq, n_symbols))
-        merged[key] = merged.get(key, 0.0) + float(w)
-    keys = list(merged)
     buckets = []
-    for _, idx in sorted(_by_length(keys).items()):
-        buckets.append((
-            np.asarray([keys[i] for i in idx], dtype=np.int64),
-            np.asarray([merged[keys[i]] for i in idx]),
-        ))
+    for idx, obs in sorted(_stacked(sequences, n_symbols), key=lambda g: g[1].shape[1]):
+        # Equal rows have equal bytes; the dict numbers the distinct ones in
+        # first-seen order. (np.unique(axis=0) sorts instead, and with numpy
+        # 2.4 raises a sweep's peak memory by about 0.6 MB.)
+        rows = obs.view(np.dtype((np.void, obs.shape[1] * obs.itemsize))).ravel().tolist()
+        slot = {}
+        inverse = [slot.setdefault(row, len(slot)) for row in rows]
+        distinct = np.frombuffer(b"".join(slot), dtype=obs.dtype).reshape(len(slot), -1)
+        buckets.append((distinct, np.bincount(inverse, weights=weights[idx])))
     total = math.fsum(float(ws.sum()) for _, ws in buckets)
     return buckets, total
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _by_length, _draw
+from .hmm import DiscreteHMM, _by_length, _draw, _sample_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP, execute
 
 DEFAULT_N_SEQUENCES = 15_000
@@ -348,13 +348,16 @@ def _derive(master, *parts):
 
 
 def _sample_dataset(model, n, seed):
-    rng = np.random.default_rng(seed)
-    absorbing = (model.o_s, model.o_f)
+    states, obs, ends = _sample_batch(
+        model.hmm, n, np.random.default_rng(seed), (model.o_s, model.o_f)
+    )
+    states, obs = states.tolist(), obs.tolist()
     runs = []
-    for _ in range(n):
-        states, obs = model.hmm.sample(rng, absorbing=absorbing)
-        outcome = SUCCESS if states[-1] == model.o_s else FAILURE
-        runs.append(Run(tuple(int(s) for s in states), tuple(int(o) for o in obs), outcome))
+    lo = 0
+    for hi in ends.tolist():
+        outcome = SUCCESS if states[hi - 1] == model.o_s else FAILURE
+        runs.append(Run(tuple(states[lo:hi]), tuple(obs[lo:hi]), outcome))
+        lo = hi
     return Dataset(runs, {"n": n, "seed": seed})
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from abthmm import compile_abt, parse
+from abthmm.hmm import DiscreteHMM
 from abthmm.tree import ABTDefinition, Leaf, LeafStats, Selector, Sequence
+from abthmm.validation import check_observations
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -144,6 +146,69 @@ def brute_sed(a, b):
             ))
         prev = cur
     return prev[-1] / len(b)
+
+
+def brute_sample(model, rng, absorbing=None, max_steps=10_000):
+    """One (states, observations) run by the step-by-step walk: one scalar
+    uniform for the start state, then per step one for the symbol and, unless
+    the state is absorbing, one for the next state."""
+    if absorbing is None:
+        absorbing = {i for i in range(model.n_states) if model.transmat[i, i] == 1.0}
+    absorbing = {int(i) for i in absorbing}
+
+    def draw(cdf):
+        return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
+
+    emit_cdf = np.cumsum(model.emissionprob, axis=1)
+    trans_cdf = np.cumsum(model.transmat, axis=1)
+    states, obs = [], []
+    state = draw(np.cumsum(model.startprob))
+    for _ in range(max_steps):
+        states.append(state)
+        obs.append(draw(emit_cdf[state]))
+        if state in absorbing:
+            return np.asarray(states, dtype=np.int64), np.asarray(obs, dtype=np.int64)
+        state = draw(trans_cdf[state])
+    raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+
+
+def brute_bucket(sequences, weights, n_symbols):
+    """Duplicate merging keyed on symbol tuples: one (obs_matrix, weights)
+    pair per length in increasing order, distinct sequences in first-seen
+    order, weights summed in input order; plus the total weight."""
+    if weights is None:
+        weights = [1.0] * len(sequences)
+    merged = {}
+    for seq, w in zip(sequences, weights):
+        key = tuple(int(x) for x in check_observations(seq, n_symbols))
+        merged[key] = merged.get(key, 0.0) + float(w)
+    by_length = {}
+    for key in merged:
+        by_length.setdefault(len(key), []).append(key)
+    buckets = [
+        (np.asarray(keys, dtype=np.int64), np.asarray([merged[k] for k in keys]))
+        for _, keys in sorted(by_length.items())
+    ]
+    return buckets, math.fsum(float(ws.sum()) for _, ws in buckets)
+
+
+def random_absorbing_model(rng, max_states=5, max_symbols=4):
+    """A small random model whose last one or two states are absorbing
+    (unit self-loops) and reachable in one step from every other state;
+    returns the model and its absorbing states."""
+    n = int(rng.integers(2, max_states + 1))
+    j = int(rng.integers(1, max_symbols + 1))
+    k = int(rng.integers(1, min(2, n - 1) + 1))
+    a = rng.dirichlet(np.ones(n), size=n)
+    a = np.where(rng.random(a.shape) < 0.3, 0.0, a)  # structural zeros
+    a[:, n - 1] += 0.05
+    a /= a.sum(axis=1, keepdims=True)
+    a[n - k:] = np.eye(n)[n - k:]
+    pi = np.where(rng.random(n) < 0.3, 0.0, rng.dirichlet(np.ones(n)))
+    pi[0] += 0.05
+    pi /= pi.sum()
+    b = rng.dirichlet(np.ones(j), size=n)
+    return DiscreteHMM(pi, a, b), tuple(range(n - k, n))
 
 
 def random_hmm_instance(rng, max_states=5, max_symbols=6):

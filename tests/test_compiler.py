@@ -369,7 +369,11 @@ def test_parallel_multi_leaf_children_product():
     assert blk.n_states <= blk.n_core + 8
     rollout_mass = m.a[blk.first].sum()
     assert rollout_mass == pytest.approx(1.0)
-    assert check_constraints(m).ok is False or True  # structure is block-shaped
+    report = check_constraints(m)  # block-shaped: upper triangular, not a chain
+    assert report.ok is False
+    assert report.upper_diagonal is True
+    assert report.two_nonzero_per_row is False
+    assert report.superdiagonal_nonzero is False
 
 
 def test_parallel_children_must_be_plain():

@@ -1,15 +1,28 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abthmm import hmm as hmm_module
-from abthmm.hmm import DiscreteHMM, ImpossibleSequenceError, load_hmm, save_hmm
+from abthmm.hmm import (
+    DiscreteHMM,
+    ImpossibleSequenceError,
+    _bucket,
+    _sample_batch,
+    load_hmm,
+    save_hmm,
+)
 
 from conftest import (
+    brute_bucket,
     brute_forward,
     brute_path_logp,
+    brute_sample,
     brute_viterbi,
+    random_absorbing_model,
     random_hmm_instance,
 )
 
@@ -142,6 +155,42 @@ def test_score_total_equals_sum_of_scores():
     assert weighted == pytest.approx(want, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), max_size=30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_bucket_matches_dict_merge(seqs, weighted, seed):
+    rng = np.random.default_rng(seed)
+    seqs = [np.asarray(s) if i % 2 else s for i, s in enumerate(seqs)]
+    weights = (rng.random(len(seqs)) * 3).tolist() if weighted else None
+    got, got_total = _bucket(seqs, weights, 3)
+    want, want_total = brute_bucket(seqs, weights, 3)
+    assert len(got) == len(want)
+    for (g_obs, g_w), (w_obs, w_w) in zip(got, want):
+        assert g_obs.dtype == np.int64 and np.array_equal(g_obs, w_obs)
+        assert np.array_equal(g_w, w_w)
+    assert got_total == want_total
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0, 1], [1, 0]], "obs must be a flat sequence, got shape (2, 2)"),
+    ([], "obs is empty"),
+    ([0.5, 1], "obs contains non-integer symbols"),
+    ([0, 2], "obs contains symbol 2 outside [0, 2)"),
+])
+def test_batch_entry_points_name_the_first_bad_sequence(bad, message):
+    # [7] is out of range too, and shares its length with the valid [1]
+    # seen first, but the sequence reported is the first bad one in order.
+    batch = [[1], bad, [7]]
+    m = tiny_model()
+    for call in (m.score_total, m.fit, m.decode_all):
+        with pytest.raises(ValueError) as err:
+            call(batch)
+        assert str(err.value) == message
+
+
 def mixed_length_corpus(model, rng):
     return [s for t in (3, 1, 5, 3, 2, 5, 1, 3) for s in chain_corpus(model, 1, t, rng)]
 
@@ -221,6 +270,42 @@ def test_sample_matches_transition_frequencies():
     freqs = counts[:2] / counts[:2].sum(axis=1, keepdims=True)
     assert np.abs(freqs - a[:2]).max() < 0.02
     assert (emits == np.diag(emits.diagonal())).all()
+
+
+@pytest.mark.parametrize("block", [hmm_module._SAMPLE_BLOCK_STEPS, 1])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 25),
+    st.booleans(),
+    st.sampled_from([4, 10_000]),
+)
+def test_sample_batch_reads_the_stream_like_the_step_by_step_walk(
+    block, model_seed, seed, n, explicit, max_steps
+):
+    model, absorbing = random_absorbing_model(np.random.default_rng(model_seed))
+    absorbing = absorbing if explicit else None
+    walk = np.random.default_rng(seed)
+    batch = np.random.default_rng(seed)
+    wrapped = np.random.default_rng(seed)
+    with mock.patch.object(hmm_module, "_SAMPLE_BLOCK_STEPS", block):
+        try:
+            want = [brute_sample(model, walk, absorbing, max_steps) for _ in range(n)]
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match=f"within {max_steps} steps"):
+                _sample_batch(model, n, batch, absorbing, max_steps)
+            return
+        states, obs, ends = _sample_batch(model, n, batch, absorbing, max_steps)
+        one_by_one = [model.sample(wrapped, absorbing, max_steps) for _ in range(n)]
+    starts = np.concatenate(([0], ends[:-1]))
+    got = [(states[lo:hi], obs[lo:hi]) for lo, hi in zip(starts, ends)]
+    assert len(got) == n and states.size == obs.size == sum(len(w) for w, _ in want)
+    for (g_states, g_obs), (s_states, s_obs), (w_states, w_obs) in zip(got, one_by_one, want):
+        assert np.array_equal(g_states, w_states) and np.array_equal(g_obs, w_obs)
+        assert np.array_equal(s_states, w_states) and np.array_equal(s_obs, w_obs)
+    # unused draws of the last block are handed back to the generator
+    assert batch.random() == wrapped.random() == walk.random()
 
 
 def test_sample_caps_runaway_chains():
