@@ -91,7 +91,7 @@ def cmd_enumerate(args):
 
 def cmd_simulate(args):
     abt = dsl.parse(_read(args.tree))
-    dataset = rollout_dataset(abt, args.num, args.seed, name=args.tree)
+    dataset = rollout_dataset(abt, args.num, args.seed)
     write_dataset(dataset, args.output)
     wins = sum(1 for r in dataset.runs if r.outcome == SUCCESS)
     mean_len = sum(len(r.states) for r in dataset.runs) / len(dataset)

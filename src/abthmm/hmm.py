@@ -79,30 +79,6 @@ class DiscreteHMM:
     def n_symbols(self):
         return self.emissionprob.shape[1]
 
-    def get_params(self, deep=True):
-        return {
-            "startprob": self.startprob,
-            "transmat": self.transmat,
-            "emissionprob": self.emissionprob,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "updates": self.updates,
-        }
-
-    def set_params(self, **params):
-        current = self.get_params()
-        for key in params:
-            if key not in current:
-                raise ValueError(f"unknown parameter {key!r}")
-        current.update(params)
-        self.__init__(
-            current.pop("startprob"),
-            current.pop("transmat"),
-            current.pop("emissionprob"),
-            **current,
-        )
-        return self
-
     def copy(self):
         return DiscreteHMM(
             self.startprob.copy(),
@@ -339,15 +315,10 @@ def _sample_batch(model, n, rng, absorbing, max_steps=10_000):
 
 
 def _lookup(cdf, u):
-    """Indices of the uniforms ``u`` in a cumulative row, clamped to the
-    last index as in _draw."""
+    """Indices of the uniforms ``u`` in a cumulative row; clamped to the
+    last index so float shortfall in the last cell cannot return an
+    out-of-range index."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
-
-
-def _draw(cdf, rng):
-    """Index into a cumulative row; clamped so float shortfall in the last
-    cell cannot return an out-of-range index."""
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
 
 
 def _forward_batch(model, obs):

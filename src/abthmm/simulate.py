@@ -1,24 +1,24 @@
 """Monte-Carlo rollouts, model perturbation, and experiment sweeps.
 
-A rollout walks the tree with the leaf outcomes drawn from their success
-probabilities, recording the visited model states and one symbol per
-visit. The sweep harness measures how inference degrades as the
-evaluation model drifts from the generating one: forward likelihood,
-decoded-path edit distance, and refit error over a grid of emission
-ratios and perturbation strengths.
+A rollout samples the compiled model, which is one tree execution with
+the leaf outcomes drawn from their success probabilities, recording the
+visited model states and one symbol per visit. The sweep harness
+measures how inference degrades as the evaluation model drifts from the
+generating one: forward likelihood, decoded-path edit distance, and
+refit error over a grid of emission ratios and perturbation strengths.
 """
 
 import csv
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _by_length, _draw, _sample_batch
-from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP, execute
+from .hmm import DiscreteHMM, _by_length, _sample_batch
+from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
 
 DEFAULT_N_SEQUENCES = 15_000
 DEFAULT_SEED = 12061
@@ -39,7 +39,6 @@ class Run:
 @dataclass
 class Dataset:
     runs: list
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.runs)
@@ -51,57 +50,35 @@ class Dataset:
         return [np.asarray(r.states, dtype=np.int64) for r in self.runs]
 
 
-def rollout_dataset(abt, n, seed, *, model=None, name=None):
+def rollout_dataset(abt, n, seed, *, model=None):
     """Simulate n independent tree executions.
 
-    Each leaf visit records the leaf's model state, draws one symbol from
-    its emission row, and succeeds with its ps. Parallel subtrees record
-    their product states. A run that does not finish within the visit cap
-    (a retry loop that cannot exit) raises TickLimitError.
+    A run is a walk on the compiled model (``model``, or the tree compiled
+    here): each visit records a model state (a leaf's, or a parallel
+    block's product state) and one symbol from its emission row, until the
+    walk reaches an output state, which emits once more. A run that does
+    not finish within the visit cap (a retry loop that cannot exit) raises
+    TickLimitError.
     """
+    if n < 1:
+        raise ValueError(f"need at least one run, got {n}")
     if model is None:
         model = compile_abt(abt)
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(model.hmm.emissionprob, axis=1)
-    leaf_ps = [float(leaf.stats.ps) for leaf in abt.leaves]
-    status_state = {}
-    for blk in model.blocks:
-        for r, status in enumerate(blk.statuses):
-            status_state[status] = blk.first + r
-
+    try:
+        states, obs, ends = _sample_batch(
+            model.hmm, n, np.random.default_rng(seed), (model.o_s, model.o_f),
+            max_steps=VISIT_CAP + 1,
+        )
+    except RuntimeError:
+        raise TickLimitError(f"run did not finish within {VISIT_CAP} visits") from None
+    states, obs = states.tolist(), obs.tolist()
     runs = []
-    for _ in range(n):
-        states, obs = [], []
-        gen = execute(abt.root)
-        reply = None
-        try:
-            while True:
-                event = gen.send(reply)
-                if event[0] == "leaf":
-                    q = model.leaf_states[event[1]]
-                    states.append(q)
-                    obs.append(_draw(cdf[q], rng))
-                    reply = SUCCESS if rng.random() < leaf_ps[event[1]] else FAILURE
-                else:
-                    q = status_state[event[2]]
-                    states.append(q)
-                    obs.append(_draw(cdf[q], rng))
-                    reply = [
-                        SUCCESS if rng.random() < leaf_ps[m[1]] else FAILURE
-                        for m in event[2]
-                        if m[0] == "run"
-                    ]
-                if len(states) > VISIT_CAP:
-                    raise TickLimitError(
-                        f"run did not finish within {VISIT_CAP} visits"
-                    )
-        except StopIteration as stop:
-            outcome = stop.value
-        terminal = model.o_s if outcome == SUCCESS else model.o_f
-        states.append(terminal)
-        obs.append(_draw(cdf[terminal], rng))
-        runs.append(Run(tuple(states), tuple(obs), outcome))
-    return Dataset(runs, {"name": name or "", "n": n, "seed": seed})
+    lo = 0
+    for hi in ends.tolist():
+        outcome = SUCCESS if states[hi - 1] == model.o_s else FAILURE
+        runs.append(Run(tuple(states[lo:hi]), tuple(obs[lo:hi]), outcome))
+        lo = hi
+    return Dataset(runs)
 
 
 def estimate_ps(dataset, model):
@@ -347,20 +324,6 @@ def _derive(master, *parts):
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _sample_dataset(model, n, seed):
-    states, obs, ends = _sample_batch(
-        model.hmm, n, np.random.default_rng(seed), (model.o_s, model.o_f)
-    )
-    states, obs = states.tolist(), obs.tolist()
-    runs = []
-    lo = 0
-    for hi in ends.tolist():
-        outcome = SUCCESS if states[hi - 1] == model.o_s else FAILURE
-        runs.append(Run(tuple(states[lo:hi]), tuple(obs[lo:hi]), outcome))
-        lo = hi
-    return Dataset(runs, {"n": n, "seed": seed})
-
-
 def sweep_cells(cfg, abt=None):
     """Yield one SweepCell per grid point.
 
@@ -376,7 +339,7 @@ def sweep_cells(cfg, abt=None):
     for ratio in cfg.ratios:
         reference = with_synthetic_emissions(base, ratio)
         data_seed = _derive(cfg.master_seed, "data", ratio)
-        dataset = _sample_dataset(reference, cfg.n_sequences, data_seed)
+        dataset = rollout_dataset(abt, cfg.n_sequences, data_seed, model=reference)
         sign_seed = _derive(cfg.master_seed, "signs", ratio)
         for pert in cfg.perturbations:
             cell_seed = _derive(cfg.master_seed, "cell", ratio, pert)
@@ -398,9 +361,14 @@ def run_sweep(cfg, kind, *, abt=None):
     if kind not in ("forward", "viterbi", "bw"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     rows = []
+    dataset = None
     for cell in sweep_cells(cfg, abt=abt):
+        if cell.dataset is not dataset:  # the cells of a ratio share one dataset
+            dataset = cell.dataset
+            sequences = dataset.observations()
+            truths = dataset.state_paths() if kind == "viterbi" else None
         model = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
-        n = len(cell.dataset)
+        n = len(dataset)
         common = dict(
             kind=kind,
             ratio=cell.ratio,
@@ -410,11 +378,10 @@ def run_sweep(cfg, kind, *, abt=None):
             seed=cell.seed,
         )
         if kind == "forward":
-            total = model.score_total(cell.dataset.observations())
+            total = model.score_total(sequences)
             rows.append(MetricRow(logp_per_seq=total / n, **common))
         elif kind == "viterbi":
-            truths = cell.dataset.state_paths()
-            _, paths = model.decode_all(cell.dataset.observations())
+            _, paths = model.decode_all(sequences)
             dists = np.empty(n)
             for idx in _by_length(truths).values():
                 dists[idx] = _sed_batch(
@@ -424,7 +391,7 @@ def run_sweep(cfg, kind, *, abt=None):
         else:
             fitted = model.copy()
             fitted.updates = cfg.bw_updates
-            fitted.fit(cell.dataset.observations())
+            fitted.fit(sequences)
             rows.append(MetricRow(
                 logp_per_seq=fitted.history_[-1] / n,
                 rms_error=rms_nonzero(cell.reference.a, fitted.transmat),

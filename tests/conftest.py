@@ -9,7 +9,19 @@ import pytest
 
 from abthmm import compile_abt, parse
 from abthmm.hmm import DiscreteHMM
-from abthmm.tree import ABTDefinition, Leaf, LeafStats, Selector, Sequence
+from abthmm.simulate import Dataset, Run
+from abthmm.tree import (
+    FAILURE,
+    SUCCESS,
+    VISIT_CAP,
+    ABTDefinition,
+    Leaf,
+    LeafStats,
+    Selector,
+    Sequence,
+    TickLimitError,
+    execute,
+)
 from abthmm.validation import check_observations
 
 REPO = Path(__file__).resolve().parents[1]
@@ -148,6 +160,12 @@ def brute_sed(a, b):
     return prev[-1] / len(b)
 
 
+def draw_index(cdf, rng):
+    """Index of one scalar uniform in a cumulative row; clamped so float
+    shortfall in the last cell cannot return an out-of-range index."""
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
+
+
 def brute_sample(model, rng, absorbing=None, max_steps=10_000):
     """One (states, observations) run by the step-by-step walk: one scalar
     uniform for the start state, then per step one for the symbol and, unless
@@ -155,21 +173,68 @@ def brute_sample(model, rng, absorbing=None, max_steps=10_000):
     if absorbing is None:
         absorbing = {i for i in range(model.n_states) if model.transmat[i, i] == 1.0}
     absorbing = {int(i) for i in absorbing}
-
-    def draw(cdf):
-        return min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.shape[0] - 1)
-
     emit_cdf = np.cumsum(model.emissionprob, axis=1)
     trans_cdf = np.cumsum(model.transmat, axis=1)
     states, obs = [], []
-    state = draw(np.cumsum(model.startprob))
+    state = draw_index(np.cumsum(model.startprob), rng)
     for _ in range(max_steps):
         states.append(state)
-        obs.append(draw(emit_cdf[state]))
+        obs.append(draw_index(emit_cdf[state], rng))
         if state in absorbing:
             return np.asarray(states, dtype=np.int64), np.asarray(obs, dtype=np.int64)
-        state = draw(trans_cdf[state])
+        state = draw_index(trans_cdf[state], rng)
     raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+
+
+def brute_rollout(abt, n, seed, *, model=None):
+    """n tree executions by the tree walker, independent of the compiled
+    matrix: each leaf visit records the leaf's model state, draws one
+    symbol from its emission row, and succeeds with the tree's ps; parallel
+    subtrees record their product states. A run that does not finish
+    within the visit cap raises TickLimitError."""
+    if model is None:
+        model = compile_abt(abt)
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(model.hmm.emissionprob, axis=1)
+    leaf_ps = [float(leaf.stats.ps) for leaf in abt.leaves]
+    status_state = {}
+    for blk in model.blocks:
+        for r, status in enumerate(blk.statuses):
+            status_state[status] = blk.first + r
+
+    runs = []
+    for _ in range(n):
+        states, obs = [], []
+        gen = execute(abt.root)
+        reply = None
+        try:
+            while True:
+                event = gen.send(reply)
+                if event[0] == "leaf":
+                    q = model.leaf_states[event[1]]
+                    states.append(q)
+                    obs.append(draw_index(cdf[q], rng))
+                    reply = SUCCESS if rng.random() < leaf_ps[event[1]] else FAILURE
+                else:
+                    q = status_state[event[2]]
+                    states.append(q)
+                    obs.append(draw_index(cdf[q], rng))
+                    reply = [
+                        SUCCESS if rng.random() < leaf_ps[m[1]] else FAILURE
+                        for m in event[2]
+                        if m[0] == "run"
+                    ]
+                if len(states) > VISIT_CAP:
+                    raise TickLimitError(
+                        f"run did not finish within {VISIT_CAP} visits"
+                    )
+        except StopIteration as stop:
+            outcome = stop.value
+        terminal = model.o_s if outcome == SUCCESS else model.o_f
+        states.append(terminal)
+        obs.append(draw_index(cdf[terminal], rng))
+        runs.append(Run(tuple(states), tuple(obs), outcome))
+    return Dataset(runs)
 
 
 def brute_bucket(sequences, weights, n_symbols):

@@ -24,7 +24,6 @@ from abthmm.hmm import DiscreteHMM
 from abthmm.simulate import (
     SweepConfig,
     estimate_ps,
-    rollout_dataset,
     rms_nonzero,
     run_sweep,
     sed,
@@ -34,6 +33,7 @@ from abthmm.tree import ABTDefinition, Leaf, LeafStats, Parallel, Retry, SUCCESS
 
 from conftest import (
     brute_forward,
+    brute_rollout,
     brute_viterbi,
     random_canonical_tree,
     random_hmm_instance,
@@ -63,9 +63,7 @@ def thousand_trees():
 
 def exemplar_dataset(name, abt, model):
     if name not in _DATASETS:
-        _DATASETS[name] = rollout_dataset(
-            abt, EXEMPLAR_RUNS, EXEMPLAR_SEED, model=model, name=name
-        )
+        _DATASETS[name] = brute_rollout(abt, EXEMPLAR_RUNS, EXEMPLAR_SEED, model=model)
     return _DATASETS[name]
 
 
@@ -270,7 +268,7 @@ def test_criterion_11_retry_and_parallel_semantics():
         Retry(Leaf("flaky", LeafStats(0.35, uniform_row(j)))),
         j, uniform_row(j), uniform_row(j),
     )
-    data = rollout_dataset(retry, 10_000, seed=EXEMPLAR_SEED)
+    data = brute_rollout(retry, 10_000, seed=EXEMPLAR_SEED)
     visits = np.mean([len(run.states) - 1 for run in data.runs])
     assert visits == pytest.approx(1 / 0.35, rel=0.05)
 
@@ -284,7 +282,7 @@ def test_criterion_11_retry_and_parallel_semantics():
         ),
         j, uniform_row(j), uniform_row(j),
     )
-    data = rollout_dataset(pair, 10_000, seed=EXEMPLAR_SEED)
+    data = brute_rollout(pair, 10_000, seed=EXEMPLAR_SEED)
     rate = np.mean([run.outcome == SUCCESS for run in data.runs])
     assert rate == pytest.approx(0.75, abs=0.01)
     print(f"mean retry visits {visits:.4f} (want {1 / 0.35:.4f}), or-rate {rate:.4f}")

@@ -76,6 +76,34 @@ def test_simulate_writes_runs(tmp_path, capsys):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_simulate_rejects_zero_runs(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", PICK, "-n", "0", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one run" in err
+    assert not out.exists()
+
+
+def test_simulate_reports_a_retry_loop_that_cannot_exit(tmp_path, capsys):
+    tree = tmp_path / "stuck.abt"
+    tree.write_text("(retry (leaf stuck :ps 0.0 :emit (gauss)))\n")
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", str(tree), "-n", "3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "did not finish within 10000 visits" in err
+    assert not out.exists()
+
+
+def test_sweep_rejects_zero_sequences(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"model = {PICK}\nratios = 1\nperturbations = 0\nn_sequences = 0\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["sweep", "--kind", "forward", "--config", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one run" in err
+    assert not out.exists()
+
+
 def test_sweep_from_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abthmm import simulate
+from abthmm.compiler import compile_abt
 from abthmm.hmm import DiscreteHMM
 from abthmm.simulate import (
     METRIC_COLUMNS,
@@ -26,9 +28,20 @@ from abthmm.simulate import (
     write_dataset,
     write_metrics,
 )
-from abthmm.tree import SUCCESS
+from abthmm.tree import (
+    FAILURE,
+    SUCCESS,
+    ABTDefinition,
+    Leaf,
+    LeafStats,
+    Parallel,
+    Retry,
+    Selector,
+    Sequence,
+    TickLimitError,
+)
 
-from conftest import brute_sed
+from conftest import brute_rollout, brute_sample, brute_sed, uniform_row
 
 
 def seed_with_first_draw(bit):
@@ -80,6 +93,87 @@ def test_rollout_emissions_use_leaf_rows(pick_place, pick_place_model):
         [run.obs[0] for run in data.runs], minlength=pick_place_model.n_symbols
     ) / len(data)
     assert np.abs(first - pick_place_model.b[0]).max() < 0.03
+
+
+def retry_parallel_tree():
+    """A retried two-step sequence, then a two-child parallel block whose
+    first child is a fallback; distinct emission rows per leaf."""
+    def leaf(name, ps, row):
+        return Leaf(name, LeafStats(ps, row))
+
+    return ABTDefinition(
+        Sequence((
+            Retry(Sequence((
+                leaf("move", 0.7, (0.1, 0.2, 0.3, 0.4)),
+                leaf("place", 0.6, (0.4, 0.3, 0.2, 0.1)),
+            ))),
+            Parallel(
+                (
+                    Selector((
+                        leaf("grip", 0.5, uniform_row(4)),
+                        leaf("regrip", 0.4, (0.7, 0.1, 0.1, 0.1)),
+                    )),
+                    leaf("lift", 0.6, (0.1, 0.1, 0.1, 0.7)),
+                ),
+                0.5,
+            ),
+        )),
+        4, (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5),
+    )
+
+
+def stuck_retry_tree():
+    """A retry around a leaf that never succeeds: no run can end."""
+    return ABTDefinition(
+        Retry(Leaf("stuck", LeafStats(0.0, uniform_row(4)))),
+        4, uniform_row(4), uniform_row(4),
+    )
+
+
+@pytest.mark.parametrize("tree", ["pick_place", "retry_parallel"])
+def test_rollout_is_the_step_by_step_walk_on_the_compiled_model(tree, request):
+    abt = request.getfixturevalue(tree) if tree == "pick_place" else retry_parallel_tree()
+    m = compile_abt(abt)
+    n, seed = 400, 17
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(n):
+        states, obs = brute_sample(m.hmm, rng, absorbing=(m.o_s, m.o_f))
+        outcome = SUCCESS if states[-1] == m.o_s else FAILURE
+        want.append(Run(tuple(states.tolist()), tuple(obs.tolist()), outcome))
+    assert rollout_dataset(abt, n, seed, model=m).runs == want
+    assert rollout_dataset(abt, n, seed).runs == want
+    assert {run.outcome for run in want} == {SUCCESS, FAILURE}
+    if m.blocks:  # the product states are visited
+        blk = m.blocks[0]
+        assert any(blk.first in run.states for run in want)
+
+
+def test_rollout_rejects_run_counts_below_one(pick_place):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one run"):
+            rollout_dataset(pick_place, n, seed=1)
+
+
+def test_rollout_of_a_retry_that_cannot_exit_hits_the_visit_cap():
+    stuck = stuck_retry_tree()
+    with pytest.raises(TickLimitError, match="10000 visits"):
+        rollout_dataset(stuck, 3, seed=1)
+    with pytest.raises(TickLimitError):
+        brute_rollout(stuck, 3, seed=1)
+
+
+def test_visit_cap_counts_the_visits_before_the_output_state(monkeypatch):
+    always = LeafStats(1.0, uniform_row(4))
+    three = ABTDefinition(
+        Sequence(tuple(Leaf(f"n{i}", always) for i in range(3))),
+        4, uniform_row(4), uniform_row(4),
+    )
+    monkeypatch.setattr(simulate, "VISIT_CAP", 3)
+    assert [len(run.states) for run in rollout_dataset(three, 2, seed=0).runs] == [4, 4]
+    monkeypatch.setattr(simulate, "VISIT_CAP", 2)
+    with pytest.raises(TickLimitError, match="2 visits"):
+        rollout_dataset(three, 2, seed=0)
 
 
 # ----------------------------------------------------------------------
