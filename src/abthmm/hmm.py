@@ -98,15 +98,17 @@ class DiscreteHMM:
         Returns -inf when no state path supports the sequence.
         """
         obs = check_observations(obs, self.n_symbols)
-        logp, _, _ = _forward_batch(self, obs[None, :])
+        logp, _, _ = _forward_batch(self, _emissions(self, obs[None, :]))
         return float(logp[0])
 
     def score_total(self, sequences, weights=None):
         """Summed log-likelihood over many sequences (fsum, deterministic)."""
-        buckets, _ = _bucket(sequences, weights, self.n_symbols)
+        return self._score_buckets(_bucket(sequences, weights, self.n_symbols)[0])
+
+    def _score_buckets(self, buckets):
         parts = []
         for obs, w in buckets:
-            logp, _, _ = _forward_batch(self, obs)
+            logp, _, _ = _forward_batch(self, _emissions(self, obs))
             parts.extend((w * logp).tolist())
         return math.fsum(parts)
 
@@ -178,13 +180,15 @@ class DiscreteHMM:
         Structural zeros of transmat are preserved exactly. Sets history_,
         n_iter_ and converged_.
         """
-        buckets, total_w = _bucket(sequences, weights, self.n_symbols)
+        return self._fit_buckets(*_bucket(sequences, weights, self.n_symbols))
+
+    def _fit_buckets(self, buckets, total_w):
         if total_w <= 0:
             raise ValueError("no sequences to fit")
         self.history_ = []
         self.converged_ = False
         for _ in range(self.max_iter):
-            logp, a_num, a_den, b_num, b_den, pi_num = self._expectation(buckets)
+            logp, a_num, a_den, pi_num, b_num, b_den = self._expectation(buckets)
             self.history_.append(logp)
             if len(self.history_) > 1 and logp - self.history_[-2] < self.tol:
                 self.converged_ = True
@@ -205,44 +209,39 @@ class DiscreteHMM:
         return self
 
     def _expectation(self, buckets):
+        """One E-step over (obs, weights) buckets: the total log-likelihood
+        and the expected counts a_num, a_den, pi_num, b_num and b_den; the
+        emission counts are None unless "e" is in updates."""
         n, j = self.n_states, self.n_symbols
         a_num = np.zeros((n, n))
         a_den = np.zeros(n)
-        b_num = np.zeros((n, j))
-        b_den = np.zeros(n)
         pi_num = np.zeros(n)
+        # Emission counts go in by joint (state, symbol) index through a flat
+        # view: one np.add.at per bucket is faster than one per step, and
+        # than np.bincount on a wide alphabet.
+        b_num = np.zeros((n, j)) if "e" in self.updates else None
+        b_den = np.zeros(n) if "e" in self.updates else None
         log_parts = []
         for obs, w in buckets:
-            logp, alpha, scale = _forward_batch(self, obs)
+            emis = _emissions(self, obs)
+            logp, alpha, scale = _forward_batch(self, emis)
             if not np.all(np.isfinite(logp)):
                 raise ImpossibleSequenceError(
                     "a training sequence has zero probability under the model"
                 )
             log_parts.extend((w * logp).tolist())
-            beta = self._backward_batch(obs, scale)
-            gamma = alpha * beta  # (B, T, N), rows already sum to one
-            wg = w[:, None, None] * gamma
+            beta = _backward_batch(self, emis, scale)
+            wg = w[:, None, None] * (alpha * beta)  # gamma rows already sum to one
             pi_num += wg[:, 0, :].sum(axis=0)
-            t_len = obs.shape[1]
-            for t in range(t_len):
-                np.add.at(b_num.T, obs[:, t], wg[:, t, :])
-            b_den += wg.sum(axis=(0, 1))
-            if t_len > 1:
+            if b_num is not None:
+                np.add.at(b_num.ravel(), (np.arange(n) * j + obs[..., None]).ravel(), wg.ravel())
+                b_den += wg.sum(axis=(0, 1))
+            if obs.shape[1] > 1:
                 a_den += wg[:, :-1, :].sum(axis=(0, 1))
-                bb = self.emissionprob[:, obs[:, 1:]]  # (N, B, T-1)
-                bb = np.moveaxis(bb, 0, 2) * beta[:, 1:, :] / scale[:, 1:, None]
-                xi = np.einsum("bti,ij,btj->ij", w[:, None, None] * alpha[:, :-1, :],
-                               self.transmat, bb)
-                a_num += xi
-        return math.fsum(log_parts), a_num, a_den, b_num, b_den, pi_num
-
-    def _backward_batch(self, obs, scale):
-        b_count, t_len = obs.shape
-        beta = np.ones((b_count, t_len, self.n_states))
-        for t in range(t_len - 2, -1, -1):
-            nxt = self.emissionprob[:, obs[:, t + 1]].T * beta[:, t + 1, :]
-            beta[:, t, :] = (nxt @ self.transmat.T) / scale[:, t + 1, None]
-        return beta
+                wa = w[:, None, None] * alpha[:, :-1, :]
+                bb = emis[:, 1:, :] * beta[:, 1:, :] / scale[:, 1:, None]
+                a_num += (wa.reshape(-1, n).T @ bb.reshape(-1, n)) * self.transmat
+        return math.fsum(log_parts), a_num, a_den, pi_num, b_num, b_den
 
 
 # Largest block of steps whose uniforms _sample_batch draws at once (two
@@ -321,28 +320,39 @@ def _lookup(cdf, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
 
 
-def _forward_batch(model, obs):
-    """Scaled forward pass over a batch of equal-length sequences.
+def _emissions(model, obs):
+    """Emission probabilities of an observation array: shape obs.shape + (N,)."""
+    return model.emissionprob.T[obs]
+
+
+def _forward_batch(model, emis):
+    """Scaled forward pass over a batch of equal-length sequences, given
+    their emission probabilities (B, T, N).
 
     Returns per-sequence log-likelihood, the scaled alphas and the scale
     factors. A scale of zero marks an impossible sequence; its log-likelihood
     comes back as -inf.
     """
-    b_count, t_len = obs.shape
-    alpha = np.zeros((b_count, t_len, model.n_states))
-    scale = np.zeros((b_count, t_len))
-    alpha[:, 0, :] = model.startprob[None, :] * model.emissionprob[:, obs[:, 0]].T
-    scale[:, 0] = alpha[:, 0, :].sum(axis=1)
-    ok = scale[:, 0] > 0
-    alpha[ok, 0, :] /= scale[ok, 0, None]
-    for t in range(1, t_len):
-        alpha[:, t, :] = (alpha[:, t - 1, :] @ model.transmat) * model.emissionprob[:, obs[:, t]].T
+    b_count, t_len, n = emis.shape
+    alpha = np.empty((b_count, t_len, n))
+    scale = np.empty((b_count, t_len))
+    for t in range(t_len):
+        prev = alpha[:, t - 1, :] @ model.transmat if t else model.startprob
+        alpha[:, t, :] = prev * emis[:, t, :]
         scale[:, t] = alpha[:, t, :].sum(axis=1)
-        ok = scale[:, t] > 0
-        alpha[ok, t, :] /= scale[ok, t, None]
+        alpha[:, t, :] /= np.where(scale[:, t] > 0, scale[:, t], 1.0)[:, None]
     with np.errstate(divide="ignore"):
         logp = np.where(np.all(scale > 0, axis=1), np.log(np.maximum(scale, 1e-320)).sum(axis=1), -np.inf)
     return logp, alpha, scale
+
+
+def _backward_batch(model, emis, scale):
+    """Scaled backward pass matching _forward_batch's scale factors."""
+    beta = np.ones(emis.shape)
+    for t in range(emis.shape[1] - 2, -1, -1):
+        nxt = emis[:, t + 1, :] * beta[:, t + 1, :]
+        beta[:, t, :] = (nxt @ model.transmat.T) / scale[:, t + 1, None]
+    return beta
 
 
 # Upper bound on the elements of the (B, N, N) candidate array that
@@ -368,7 +378,7 @@ def _viterbi_batch(model, obs):
     for lo in range(0, b_count, rows):
         chunk = obs[lo:lo + rows]
         with np.errstate(divide="ignore"):
-            log_b = np.log(model.emissionprob.T[chunk])  # (B, T, N)
+            log_b = np.log(_emissions(model, chunk))
         back = np.empty((chunk.shape[0], t_len, n), dtype=np.int64)
         delta = log_pi + log_b[:, 0]
         for t in range(1, t_len):

@@ -17,7 +17,7 @@ import numpy as np
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _by_length, _sample_batch
+from .hmm import DiscreteHMM, _bucket, _by_length, _sample_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
 
 DEFAULT_N_SEQUENCES = 15_000
@@ -366,7 +366,10 @@ def run_sweep(cfg, kind, *, abt=None):
         if cell.dataset is not dataset:  # the cells of a ratio share one dataset
             dataset = cell.dataset
             sequences = dataset.observations()
-            truths = dataset.state_paths() if kind == "viterbi" else None
+            if kind == "viterbi":
+                truths = dataset.state_paths()
+            else:
+                buckets, total_w = _bucket(sequences, None, cell.reference.n_symbols)
         model = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
         n = len(dataset)
         common = dict(
@@ -378,7 +381,7 @@ def run_sweep(cfg, kind, *, abt=None):
             seed=cell.seed,
         )
         if kind == "forward":
-            total = model.score_total(sequences)
+            total = model._score_buckets(buckets)
             rows.append(MetricRow(logp_per_seq=total / n, **common))
         elif kind == "viterbi":
             _, paths = model.decode_all(sequences)
@@ -391,7 +394,7 @@ def run_sweep(cfg, kind, *, abt=None):
         else:
             fitted = model.copy()
             fitted.updates = cfg.bw_updates
-            fitted.fit(sequences)
+            fitted._fit_buckets(buckets, total_w)
             rows.append(MetricRow(
                 logp_per_seq=fitted.history_[-1] / n,
                 rms_error=rms_nonzero(cell.reference.a, fitted.transmat),

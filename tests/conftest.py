@@ -127,6 +127,37 @@ def brute_forward(pi, a, b, obs):
     return math.log(total) if total > 0 else -math.inf
 
 
+def brute_expectation(pi, a, b, sequences, weights):
+    """One Baum-Welch E-step by exhaustive path sums: (logp, a_num, a_den,
+    pi_num, b_num, b_den), where logp is the weighted total log-likelihood
+    and each count is the weighted posterior expectation of a start, a
+    transition, a visit before the last step, or a visit with its symbol."""
+    n, j = b.shape
+    logp = 0.0
+    a_num, a_den, pi_num = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    b_num, b_den = np.zeros((n, j)), np.zeros(n)
+    for obs, w in zip(sequences, weights):
+        paths = list(itertools.product(range(n), repeat=len(obs)))
+        probs = []
+        for path in paths:
+            p = pi[path[0]] * b[path[0], obs[0]]
+            for t in range(1, len(obs)):
+                p *= a[path[t - 1], path[t]] * b[path[t], obs[t]]
+            probs.append(p)
+        total = sum(probs)
+        logp += w * math.log(total)
+        for path, p in zip(paths, probs):
+            post = w * p / total
+            pi_num[path[0]] += post
+            for t, (q, x) in enumerate(zip(path, obs)):
+                b_num[q, x] += post
+                b_den[q] += post
+                if t + 1 < len(obs):
+                    a_num[q, path[t + 1]] += post
+                    a_den[q] += post
+    return logp, a_num, a_den, pi_num, b_num, b_den
+
+
 def brute_viterbi(pi, a, b, obs):
     """(logp, path) of the best state path; ties pick the path whose
     reversed tuple is smallest, matching first-maximum backtracking."""

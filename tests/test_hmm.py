@@ -18,6 +18,7 @@ from abthmm.hmm import (
 
 from conftest import (
     brute_bucket,
+    brute_expectation,
     brute_forward,
     brute_path_logp,
     brute_sample,
@@ -338,6 +339,25 @@ def test_fit_increases_likelihood_monotonically():
     assert all(y >= x - 1e-9 for x, y in zip(start.history_, start.history_[1:]))
     assert start.history_[-1] >= start.history_[0]
     assert start.converged_ or start.n_iter_ == 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), updates=st.sampled_from(["t", "te", "ste"]))
+def test_expectation_matches_path_sums(seed, updates):
+    rng = np.random.default_rng(seed)
+    pi, a, b, _ = random_hmm_instance(rng, max_states=3, max_symbols=3)
+    seqs = [rng.integers(0, b.shape[1], size=int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(1, 7)))]
+    seqs += seqs[:int(rng.integers(0, len(seqs) + 1))]  # repeats merge into weights
+    weights = rng.uniform(0.1, 3.0, size=len(seqs))
+    buckets, _ = _bucket(seqs, weights, b.shape[1])
+    got = DiscreteHMM(pi, a, b, updates=updates)._expectation(buckets)
+    want = brute_expectation(pi, a, b, seqs, weights)
+    assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
+    counted = 6 if "e" in updates else 4
+    for g, w in zip(got[1:counted], want[1:counted]):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+    assert all(g is None for g in got[counted:])
 
 
 def test_fit_preserves_structural_zeros(pick_place_model):

@@ -444,6 +444,27 @@ def test_run_sweep_kinds(pick_place):
         run_sweep(cfg, "backward", abt=pick_place)
 
 
+def test_run_sweep_buckets_once_yet_matches_per_cell_calls(pick_place):
+    # run_sweep merges each ratio's dataset once for all its cells; every
+    # row must equal what score_total and fit give on the raw sequences.
+    cfg = SweepConfig(model="unused", ratios=(0.0, 0.25, 1.0),
+                      perturbations=(0.0, 0.25, "random"), n_sequences=120, master_seed=5)
+    fwd = run_sweep(cfg, "forward", abt=pick_place)
+    bw = run_sweep(cfg, "bw", abt=pick_place)
+    cells = list(sweep_cells(cfg, abt=pick_place))
+    assert len(fwd) == len(bw) == len(cells) == 9
+    for cell, f_row, b_row in zip(cells, fwd, bw):
+        model = getattr(cell.start, "hmm", cell.start)
+        seqs = cell.dataset.observations()
+        assert f_row.logp_per_seq == model.score_total(seqs) / len(seqs)
+        fitted = model.copy()
+        fitted.updates = cfg.bw_updates
+        fitted.fit(seqs)
+        assert b_row.final_logp == fitted.history_[-1]
+        assert b_row.bw_iters == fitted.n_iter_
+        assert b_row.rms_error == rms_nonzero(cell.reference.a, fitted.transmat)
+
+
 def test_run_sweep_perfect_start_scores_best(pick_place):
     cfg = small_cfg(60)
     rows = run_sweep(cfg, "forward", abt=pick_place)
