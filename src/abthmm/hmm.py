@@ -8,6 +8,7 @@ JSON with fields n_states, n_symbols, pi, a, b, labels and edge_labels,
 written canonically so identical models produce identical bytes.
 """
 
+import itertools
 import json
 import math
 
@@ -98,18 +99,18 @@ class DiscreteHMM:
         Returns -inf when no state path supports the sequence.
         """
         obs = check_observations(obs, self.n_symbols)
-        logp, _, _ = _forward_batch(self, _emissions(self, obs[None, :]))
+        logp, _, _ = _forward_batch(self, _Packed.single(obs), _emissions(self, obs))
         return float(logp[0])
 
     def score_total(self, sequences, weights=None):
         """Summed log-likelihood over many sequences (fsum, deterministic)."""
-        return self._score_buckets(_bucket(sequences, weights, self.n_symbols)[0])
+        return self._score_batch(_bucket(sequences, weights, self.n_symbols))
 
-    def _score_buckets(self, buckets):
+    def _score_batch(self, batch):
         parts = []
-        for obs, w in buckets:
-            logp, _, _ = _forward_batch(self, _emissions(self, obs))
-            parts.extend((w * logp).tolist())
+        for _, _, sub in batch.chunks(batch.lengths * self.n_states):
+            logp, _, _ = _forward_batch(self, sub, _emissions(self, sub.obs))
+            parts.extend((sub.weights * logp).tolist())
         return math.fsum(parts)
 
     # ------------------------------------------------------------------
@@ -126,8 +127,8 @@ class DiscreteHMM:
             The path itself; ties are broken toward the lower state index.
         """
         obs = check_observations(obs, self.n_symbols)
-        logp, paths = _viterbi_batch(self, obs[None, :])
-        return float(logp[0]), paths[0]
+        logp, path = _viterbi_batch(self, _Packed.single(obs))
+        return float(logp[0]), path
 
     def decode_all(self, sequences):
         """Viterbi over many sequences at once.
@@ -141,15 +142,11 @@ class DiscreteHMM:
 
         Raises ImpossibleSequenceError if any sequence has probability zero.
         """
-        seqs = list(sequences)
-        logprobs = np.empty(len(seqs))
-        paths = [None] * len(seqs)
-        for idx, obs in _stacked(seqs, self.n_symbols):
-            logp, batch = _viterbi_batch(self, obs)
-            logprobs[idx] = logp
-            for i, path in zip(idx, batch):
-                paths[i] = path
-        return logprobs, paths
+        batch = _pack(list(sequences), self.n_symbols)
+        logp, paths = _viterbi_batch(self, batch)
+        logprobs = np.empty(len(logp))
+        logprobs[batch.order] = logp
+        return logprobs, batch.unpack(paths)
 
     def predict(self, obs):
         """Viterbi state path without the score."""
@@ -180,15 +177,15 @@ class DiscreteHMM:
         Structural zeros of transmat are preserved exactly. Sets history_,
         n_iter_ and converged_.
         """
-        return self._fit_buckets(*_bucket(sequences, weights, self.n_symbols))
+        return self._fit_batch(_bucket(sequences, weights, self.n_symbols))
 
-    def _fit_buckets(self, buckets, total_w):
-        if total_w <= 0:
+    def _fit_batch(self, batch):
+        if not batch.weights.sum() > 0:
             raise ValueError("no sequences to fit")
         self.history_ = []
         self.converged_ = False
         for _ in range(self.max_iter):
-            logp, a_num, a_den, pi_num, b_num, b_den = self._expectation(buckets)
+            logp, a_num, a_den, pi_num, b_num, b_den = self._expectation(batch)
             self.history_.append(logp)
             if len(self.history_) > 1 and logp - self.history_[-2] < self.tol:
                 self.converged_ = True
@@ -196,52 +193,71 @@ class DiscreteHMM:
             if "s" in self.updates:
                 self.startprob = pi_num / pi_num.sum()
             if "t" in self.updates:
-                rows = a_den > 0
-                new_a = self.transmat.copy()
-                new_a[rows] = a_num[rows] / a_den[rows, None]
-                self.transmat = new_a
+                self.transmat = _normalized(a_num, a_den, self.transmat)
             if "e" in self.updates:
-                rows = b_den > 0
-                new_b = self.emissionprob.copy()
-                new_b[rows] = b_num[rows] / b_den[rows, None]
-                self.emissionprob = new_b
+                self.emissionprob = _normalized(b_num, b_den, self.emissionprob)
         self.n_iter_ = len(self.history_)
         return self
 
-    def _expectation(self, buckets):
-        """One E-step over (obs, weights) buckets: the total log-likelihood
-        and the expected counts a_num, a_den, pi_num, b_num and b_den; the
-        emission counts are None unless "e" is in updates."""
+    def _expectation(self, batch):
+        """One E-step over a packed batch: the total log-likelihood and the
+        expected counts a_num, a_den, pi_num, b_num and b_den. The transition
+        counts are None unless "t" is in updates, the emission counts None
+        unless "e" is."""
         n, j = self.n_states, self.n_symbols
-        a_num = np.zeros((n, n))
-        a_den = np.zeros(n)
+        trans, emit = "t" in self.updates, "e" in self.updates
+        a_num = np.zeros((n, n)) if trans else None
+        a_den = np.zeros(n) if trans else None
         pi_num = np.zeros(n)
         # Emission counts go in by joint (state, symbol) index through a flat
-        # view: one np.add.at per bucket is faster than one per step, and
+        # view: one np.add.at per chunk is faster than one per step, and
         # than np.bincount on a wide alphabet.
-        b_num = np.zeros((n, j)) if "e" in self.updates else None
-        b_den = np.zeros(n) if "e" in self.updates else None
+        b_num = np.zeros((n, j)) if emit else None
+        b_den = np.zeros(n) if emit else None
         log_parts = []
-        for obs, w in buckets:
-            emis = _emissions(self, obs)
-            logp, alpha, scale = _forward_batch(self, emis)
+        for _, _, sub in batch.chunks(batch.lengths * n):
+            emis = _emissions(self, sub.obs)
+            logp, alpha, scale = _forward_batch(self, sub, emis)
             if not np.all(np.isfinite(logp)):
                 raise ImpossibleSequenceError(
                     "a training sequence has zero probability under the model"
                 )
+            w = sub.weights
             log_parts.extend((w * logp).tolist())
-            beta = _backward_batch(self, emis, scale)
-            wg = w[:, None, None] * (alpha * beta)  # gamma rows already sum to one
-            pi_num += wg[:, 0, :].sum(axis=0)
-            if b_num is not None:
-                np.add.at(b_num.ravel(), (np.arange(n) * j + obs[..., None]).ravel(), wg.ravel())
-                b_den += wg.sum(axis=(0, 1))
-            if obs.shape[1] > 1:
-                a_den += wg[:, :-1, :].sum(axis=(0, 1))
-                wa = w[:, None, None] * alpha[:, :-1, :]
-                bb = emis[:, 1:, :] * beta[:, 1:, :] / scale[:, 1:, None]
-                a_num += (wa.reshape(-1, n).T @ bb.reshape(-1, n)) * self.transmat
+            beta = _backward_batch(self, sub, emis, scale)
+            off, sizes = sub.offsets, sub.sizes
+            for t, k in enumerate(sizes):
+                alpha[off[t]:off[t] + k] *= w[:k, None]
+            if trans:
+                # xi of the step pair (t - 1, t) is walpha[t - 1]^T @ bb[t],
+                # with bb = emis * beta / scale built in place of emis.
+                bb = emis
+                bb *= beta
+                bb /= scale[:, None]
+                xi = np.zeros((n, n))
+                for t in range(1, len(sizes)):
+                    k = sizes[t]
+                    xi += alpha[off[t - 1]:off[t - 1] + k].T @ bb[off[t]:off[t] + k]
+                a_num += xi * self.transmat
+            gamma = alpha
+            gamma *= beta  # weighted gamma: each position's row sums to its weight
+            pi_num += gamma[:sizes[0]].sum(axis=0)
+            if trans:
+                for t in range(len(sizes) - 1):
+                    a_den += gamma[off[t]:off[t] + sizes[t + 1]].sum(axis=0)
+            if emit:
+                np.add.at(b_num.ravel(), (np.arange(n) * j + sub.obs[:, None]).ravel(), gamma.ravel())
+                b_den += gamma.sum(axis=0)
         return math.fsum(log_parts), a_num, a_den, pi_num, b_num, b_den
+
+
+def _normalized(num, den, old):
+    """num / den row by row, written into num; a row with no expected
+    visits (den == 0) keeps old's values."""
+    seen = (den > 0)[:, None]
+    np.divide(num, den[:, None], out=num, where=seen)
+    np.copyto(num, old, where=~seen)
+    return num
 
 
 # Largest block of steps whose uniforms _sample_batch draws at once (two
@@ -325,131 +341,247 @@ def _emissions(model, obs):
     return model.emissionprob.T[obs]
 
 
-def _forward_batch(model, emis):
-    """Scaled forward pass over a batch of equal-length sequences, given
-    their emission probabilities (B, T, N).
+# Upper bound on the elements a kernel allocates for one chunk of rows of a
+# packed batch: each (steps, N) array of the forward pass and the E-step,
+# and Viterbi's log emissions, back pointers and (rows, N, N) candidates
+# together. 1 << 19 float64 elements are 4 MB. Larger batches are processed
+# in chunks of rows.
+_CHUNK_ELEMENTS = 1 << 19
 
-    Returns per-sequence log-likelihood, the scaled alphas and the scale
-    factors. A scale of zero marks an impossible sequence; its log-likelihood
-    comes back as -inf.
+
+class _Packed:
+    """A batch of sequences sorted by length, longest first, and stored
+    time-major, as in PyTorch's PackedSequence.
+
+    The sort is stable, so sequences of equal length keep their input
+    order. Step t of the sizes[t] sequences longer than t is
+    ``obs[offsets[t]:offsets[t + 1]]``; those sequences are always rows 0
+    to sizes[t] - 1, so each step of a kernel works on one contiguous
+    prefix slice and does no padding work. Row r is input sequence
+    order[r], with length lengths[r] and weight weights[r]; its last step
+    sits at ``offsets[lengths[r] - 1] + r``.
     """
-    b_count, t_len, n = emis.shape
-    alpha = np.empty((b_count, t_len, n))
-    scale = np.empty((b_count, t_len))
-    for t in range(t_len):
-        prev = alpha[:, t - 1, :] @ model.transmat if t else model.startprob
-        alpha[:, t, :] = prev * emis[:, t, :]
-        scale[:, t] = alpha[:, t, :].sum(axis=1)
-        alpha[:, t, :] /= np.where(scale[:, t] > 0, scale[:, t], 1.0)[:, None]
-    with np.errstate(divide="ignore"):
-        logp = np.where(np.all(scale > 0, axis=1), np.log(np.maximum(scale, 1e-320)).sum(axis=1), -np.inf)
-    return logp, alpha, scale
+
+    def __init__(self, obs, lengths, order, weights):
+        self.obs = obs
+        self.lengths = lengths
+        self.order = order
+        self.weights = weights
+        if len(lengths) == 1:  # score, decode and sed of one sequence
+            self.sizes = [1] * int(lengths[0])
+        else:
+            steps = int(lengths[0]) if len(lengths) else 0
+            self.sizes = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows longer than t
+        self.offsets = list(itertools.accumulate(self.sizes, initial=0))
+
+    @classmethod
+    def of(cls, flat, lengths):
+        """Pack sequences given back to back in ``flat``, in input order."""
+        order = np.argsort(-lengths, kind="stable")
+        batch = cls(None, lengths[order], order, np.ones(len(order)))
+        start = (np.cumsum(lengths) - lengths)[order]
+        batch.obs = flat[np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [start[:k] + t for t, k in enumerate(batch.sizes)]
+        )]
+        return batch
+
+    @classmethod
+    def single(cls, obs):
+        """A batch of one sequence, whose packed symbols are the sequence."""
+        return cls(obs, np.array([len(obs)]), np.zeros(1, dtype=np.int64), np.ones(1))
+
+    def like(self, obs):
+        """The same layout holding other per-step values, e.g. state paths."""
+        return _Packed(obs, self.lengths, self.order, self.weights)
+
+    def take(self, rows):
+        """The sub-batch of the given rows (ascending) and the positions of
+        its symbols in obs."""
+        sub = _Packed(None, self.lengths[rows], self.order[rows], self.weights[rows])
+        pos = np.concatenate([np.empty(0, dtype=np.int64)]
+                             + [self.offsets[t] + rows[:k] for t, k in enumerate(sub.sizes)])
+        sub.obs = self.obs[pos]
+        return sub, pos
+
+    def chunks(self, cost):
+        """Split into runs of rows whose summed ``cost`` (the elements a
+        kernel allocates for each row) stays within _CHUNK_ELEMENTS; a row
+        over budget forms a chunk of its own. Yields (rows, positions,
+        sub-batch), where rows is a slice and positions index the
+        sub-batch's symbols in obs."""
+        n_rows = len(self.lengths)
+        ends = np.cumsum(cost)
+        if n_rows and ends[-1] <= _CHUNK_ELEMENTS:
+            yield slice(0, n_rows), slice(None), self
+            return
+        lo = 0
+        while lo < n_rows:
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_ELEMENTS, side="right")))
+            sub, pos = self.take(np.arange(lo, hi))
+            yield slice(lo, hi), pos, sub
+            lo = hi
+
+    def padded(self, values, fill):
+        """Per-step ``values`` packed like obs, as a row-major (rows, steps)
+        matrix with ``fill`` past the end of each row."""
+        out = np.full((len(self.sizes), len(self.lengths)), fill, dtype=values.dtype)
+        out[np.arange(len(self.lengths)) < np.array(self.sizes, dtype=np.int64)[:, None]] = values
+        return np.ascontiguousarray(out.T)
+
+    def unpack(self, values):
+        """Per-step ``values`` packed like obs, as one array per sequence in
+        input order."""
+        rows = self.padded(values, 0)
+        out = [None] * len(self.lengths)
+        for r, (i, n) in enumerate(zip(self.order.tolist(), self.lengths.tolist())):
+            out[i] = rows[r, :n]
+        return out
 
 
-def _backward_batch(model, emis, scale):
-    """Scaled backward pass matching _forward_batch's scale factors."""
-    beta = np.ones(emis.shape)
-    for t in range(emis.shape[1] - 2, -1, -1):
-        nxt = emis[:, t + 1, :] * beta[:, t + 1, :]
-        beta[:, t, :] = (nxt @ model.transmat.T) / scale[:, t + 1, None]
-    return beta
+def _pack(sequences, n_symbols):
+    """Validated observation sequences as one packed batch, weights one.
 
-
-# Upper bound on the elements of the (B, N, N) candidate array that
-# _viterbi_batch builds per step; larger batches are decoded in chunks.
-_VITERBI_CHUNK_ELEMENTS = 1 << 22
-
-
-def _viterbi_batch(model, obs):
-    """Log-space Viterbi over a batch of equal-length sequences.
-
-    Returns the best-path log-likelihoods, shape (B,), and the paths,
-    shape (B, T). Ties go to the lower state index at every step. Raises
-    ImpossibleSequenceError if any sequence has probability zero.
+    All symbols are checked by one check_observations call; if that or the
+    gathering fails, the sequences are checked one by one so the error is
+    the one the first bad sequence raises on its own.
     """
-    b_count, t_len = obs.shape
-    n = model.n_states
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transmat)
-        log_pi = np.log(model.startprob)
-    rows = max(1, _VITERBI_CHUNK_ELEMENTS // (n * n))
-    logp = np.empty(b_count)
-    paths = np.empty((b_count, t_len), dtype=np.int64)
-    for lo in range(0, b_count, rows):
-        chunk = obs[lo:lo + rows]
-        with np.errstate(divide="ignore"):
-            log_b = np.log(_emissions(model, chunk))
-        back = np.empty((chunk.shape[0], t_len, n), dtype=np.int64)
-        delta = log_pi + log_b[:, 0]
-        for t in range(1, t_len):
-            cand = delta[:, :, None] + log_a
-            back[:, t] = np.argmax(cand, axis=1)
-            delta = cand.max(axis=1) + log_b[:, t]
-        if np.any(np.all(np.isinf(delta), axis=1)):
-            raise ImpossibleSequenceError("sequence impossible under the model")
-        out = paths[lo:lo + rows]
-        out[:, -1] = np.argmax(delta, axis=1)
-        logp[lo:lo + rows] = delta.max(axis=1)
-        pick = np.arange(chunk.shape[0])
-        for t in range(t_len - 1, 0, -1):
-            out[:, t - 1] = back[pick, t, out[:, t]]
-    return logp, paths
-
-
-def _by_length(sequences):
-    """Indices of the sequences grouped by length, in first-seen order."""
-    groups = {}
-    for i, seq in enumerate(sequences):
-        groups.setdefault(len(seq), []).append(i)
-    return groups
-
-
-def _stacked(sequences, n_symbols):
-    """Validated observation sequences grouped by length.
-
-    Returns (indices, obs) pairs in the order of ``_by_length``: obs is the
-    (B, T) int64 matrix of the sequences at those indices. Each group is
-    checked by one check_observations call; if a check fails, the sequences
-    are checked one by one so the error is the one the first bad sequence
-    raises on its own.
-    """
+    if len(sequences) == 0:
+        return _Packed.of(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     try:
-        groups = []
-        for idx in _by_length(sequences).values():
-            obs = np.asarray([sequences[i] for i in idx])
-            if obs.ndim != 2:
-                raise ValueError("a sequence is not flat")
-            groups.append((idx, check_observations(obs.ravel(), n_symbols).reshape(obs.shape)))
-        return groups
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        flat = check_observations(np.concatenate(sequences), n_symbols)
+        if not lengths.min():
+            raise ValueError("an empty sequence")
     except (TypeError, ValueError):
         for seq in sequences:
             check_observations(seq, n_symbols)
         raise
+    return _Packed.of(flat, lengths)
 
 
 def _bucket(sequences, weights, n_symbols):
-    """Merge duplicate sequences and group by length.
+    """Packed batch of the distinct sequences, duplicates merged.
 
-    Returns a list of (obs_matrix, weight_vector) pairs, one per length in
-    increasing order, and the total weight. Within a pair the distinct
-    sequences are in first-seen order, and each weight is the sum, in input
-    order, of the weights of its copies.
+    The distinct sequences keep the packed order: longest first, then
+    first seen. Each row's weight is the sum, in input order, of the
+    weights of its copies.
     """
     weights = np.ones(len(sequences)) if weights is None else np.asarray(weights, dtype=np.float64)
     if len(weights) != len(sequences):
         raise ValueError("weights length does not match sequences")
-    buckets = []
-    for idx, obs in sorted(_stacked(sequences, n_symbols), key=lambda g: g[1].shape[1]):
-        # Equal rows have equal bytes; the dict numbers the distinct ones in
-        # first-seen order. (np.unique(axis=0) sorts instead, and with numpy
-        # 2.4 raises a sweep's peak memory by about 0.6 MB.)
-        rows = obs.view(np.dtype((np.void, obs.shape[1] * obs.itemsize))).ravel().tolist()
-        slot = {}
-        inverse = [slot.setdefault(row, len(slot)) for row in rows]
-        distinct = np.frombuffer(b"".join(slot), dtype=obs.dtype).reshape(len(slot), -1)
-        buckets.append((distinct, np.bincount(inverse, weights=weights[idx])))
-    total = math.fsum(float(ws.sum()) for _, ws in buckets)
-    return buckets, total
+    batch = _pack(sequences, n_symbols)
+    # Copies share a length, so they sit in one run of equal-length rows.
+    # Each run is gathered row-major; equal rows have equal bytes, and the
+    # dict numbers the distinct ones in first-seen order. (np.unique(axis=0)
+    # sorts instead, and with numpy 2.4 raises a sweep's peak memory.)
+    keys = []
+    offsets = np.asarray(batch.offsets)
+    bounds = np.flatnonzero(np.diff(batch.lengths, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = batch.obs[np.add.outer(np.arange(lo, hi), offsets[:batch.lengths[lo]])]
+        keys += run.view(np.dtype((np.void, run.shape[1] * run.itemsize))).ravel().tolist()
+    slot = {}
+    inverse = np.fromiter((slot.setdefault(key, len(slot)) for key in keys), dtype=np.int64,
+                          count=len(keys))
+    distinct, _ = batch.take(np.unique(inverse, return_index=True)[1])
+    distinct.weights = np.bincount(inverse, weights=weights[batch.order], minlength=len(slot))
+    return distinct
+
+
+def _forward_batch(model, batch, emis):
+    """Scaled forward pass over a packed batch, given the emission
+    probabilities of its symbols (packed like obs, shape (S, N)).
+
+    Returns each row's log-likelihood, the scaled alphas and the scale
+    factors, both packed like obs. A scale of zero marks an impossible
+    sequence; its log-likelihood comes back as -inf.
+    """
+    off, sizes = batch.offsets, batch.sizes
+    alpha = np.empty_like(emis)
+    scale = np.empty(len(emis))
+    for t, k in enumerate(sizes):
+        cur = alpha[off[t]:off[t] + k]
+        if t:
+            np.matmul(alpha[off[t - 1]:off[t - 1] + k], model.transmat, out=cur)
+            cur *= emis[off[t]:off[t] + k]
+        else:
+            np.multiply(model.startprob, emis[:k], out=cur)
+        s = scale[off[t]:off[t] + k]
+        cur.sum(axis=1, out=s)
+        cur /= np.where(s > 0, s, 1.0)[:, None]
+    with np.errstate(divide="ignore"):
+        log_scale = np.log(scale)
+    logp = np.zeros(len(batch.lengths))
+    for t, k in enumerate(sizes):
+        logp[:k] += log_scale[off[t]:off[t] + k]
+    return logp, alpha, scale
+
+
+def _backward_batch(model, batch, emis, scale):
+    """Scaled backward pass matching _forward_batch's scale factors."""
+    off, sizes = batch.offsets, batch.sizes
+    beta = np.empty_like(emis)
+    for t in range(len(sizes) - 1, -1, -1):
+        k = sizes[t + 1] if t + 1 < len(sizes) else 0  # rows that go on to step t + 1
+        beta[off[t] + k:off[t] + sizes[t]] = 1.0
+        if k:
+            nxt = emis[off[t + 1]:off[t + 1] + k] * beta[off[t + 1]:off[t + 1] + k]
+            cur = beta[off[t]:off[t] + k]
+            np.matmul(nxt, model.transmat.T, out=cur)
+            cur /= scale[off[t + 1]:off[t + 1] + k, None]
+    return beta
+
+
+def _viterbi_batch(model, batch):
+    """Log-space Viterbi over a packed batch.
+
+    Returns each row's best-path log-likelihood, shape (B,), and the paths
+    packed like obs. Ties go to the lower state index at every step. Raises
+    ImpossibleSequenceError if any sequence has probability zero.
+    """
+    n = model.n_states
+    with np.errstate(divide="ignore"):
+        log_into = np.log(model.transmat.T)  # row j: log a[i, j] over the from-states i
+        log_pi = np.log(model.startprob)
+    logp = np.empty(len(batch.lengths))
+    paths = np.empty(len(batch.obs), dtype=np.int64)
+    for rows, at, sub in batch.chunks((2 * batch.lengths + n) * n):
+        off, sizes = sub.offsets, sub.sizes
+        with np.errstate(divide="ignore"):
+            log_b = np.log(_emissions(model, sub.obs))
+        back = np.empty((len(sub.obs), n), dtype=np.min_scalar_type(n - 1))
+        final = np.empty((len(sub.lengths), n))  # each row's delta at its last step
+        pick = np.arange(sizes[0] * n)
+        # One candidate row per (sequence, next state), reduced along its
+        # contiguous axis; the best value is read at the argmax, the first
+        # maximum.
+        cands = np.empty((sizes[0] * n, n))
+        delta = log_pi + log_b[:sizes[0]]
+        for t in range(1, len(sizes)):
+            k = sizes[t]
+            final[k:len(delta)] = delta[k:]
+            cand = cands[:k * n]
+            np.add(delta[:k, None, :], log_into, out=cand.reshape(k, n, n))
+            best = cand.argmax(axis=1)
+            back[off[t]:off[t] + k] = best.reshape(k, n)
+            delta = cand[pick[:k * n], best].reshape(k, n)
+            delta += log_b[off[t]:off[t] + k]
+        final[:len(delta)] = delta
+        if np.any(np.all(np.isinf(final), axis=1)):
+            raise ImpossibleSequenceError("sequence impossible under the model")
+        logp[rows] = final.max(axis=1)
+        # Walk back: state[r] is row r's state at step t, for the rows that
+        # reach step t; a row joins the walk at its last step.
+        state = np.argmax(final, axis=1)
+        out = np.empty(len(sub.obs), dtype=np.int64)
+        for t in range(len(sizes) - 1, -1, -1):
+            k = sizes[t]
+            out[off[t]:off[t] + k] = state[:k]
+            if t:
+                state[:k] = back[off[t] + pick[:k], state[:k]]
+        paths[at] = out
+    return logp, paths
 
 
 # ----------------------------------------------------------------------

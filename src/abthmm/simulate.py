@@ -17,7 +17,7 @@ import numpy as np
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _bucket, _by_length, _sample_batch
+from .hmm import DiscreteHMM, _Packed, _bucket, _pack, _sample_batch, _viterbi_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
 
 DEFAULT_N_SEQUENCES = 15_000
@@ -194,28 +194,39 @@ def sed(a, b):
     a = [codes.setdefault(x, len(codes)) for x in a]
     b = [codes.setdefault(x, len(codes)) for x in b]
     return float(_sed_batch(
-        np.asarray(a, dtype=np.int64)[None, :], np.asarray(b, dtype=np.int64)[None, :]
+        _Packed.single(np.asarray(a, dtype=np.int64)), _Packed.single(np.asarray(b, dtype=np.int64))
     )[0])
 
 
 def _sed_batch(a, b):
-    """sed over a batch of pairs: a has shape (B, m), b has shape (B, n).
+    """sed over the pairs of two packed batches, row r of a against row r
+    of b; the two must list their pairs in the same row order (for
+    instance, packed from sequences of equal lengths).
 
     The dynamic programme runs one row (one symbol of a) at a time,
-    vectorized over the batch and along the row.
+    vectorized over the rows of a that reach that symbol and along the
+    row; a pair's distance is read from its reference length's column as
+    soon as its row of a ends. Columns past that length do not feed it.
     """
-    n = b.shape[1]
-    if n == 0:
+    if len(b.lengths) and b.lengths[-1] == 0:  # the shortest row comes last
         raise ValueError("reference sequence is empty")
-    j = np.arange(n + 1)
-    row = np.broadcast_to(j, (b.shape[0], n + 1))
-    for i in range(a.shape[1]):
-        cur = np.empty_like(row)
+    ref = b.padded(b.obs, -1)
+    j = np.arange(ref.shape[1] + 1)
+    row = np.repeat(j[None, :], len(b.lengths), axis=0)
+    dist = np.empty(len(b.lengths), dtype=np.int64)
+    done = len(dist)  # rows from here on have their distance read
+    for i, k in enumerate(a.sizes):
+        if k < done:
+            dist[k:done] = row[np.arange(k, done), b.lengths[k:done]]
+            done = k
+        cur = np.empty((k, len(j)), dtype=row.dtype)
         cur[:, 0] = i + 1
-        np.minimum(row[:, 1:] + 1, row[:, :-1] + (a[:, i, None] != b), out=cur[:, 1:])
+        step = a.obs[a.offsets[i]:a.offsets[i] + k]
+        np.minimum(row[:k, 1:] + 1, row[:k, :-1] + (step[:, None] != ref[:k]), out=cur[:, 1:])
         # insertions: cur[k] = min over l <= k of cur[l] + (k - l)
         row = np.minimum.accumulate(cur - j, axis=1) + j
-    return row[:, -1] / n
+    dist[:done] = row[np.arange(done), b.lengths[:done]]
+    return dist / b.lengths
 
 
 def rms_nonzero(a_ref, a_est):
@@ -365,11 +376,13 @@ def run_sweep(cfg, kind, *, abt=None):
     for cell in sweep_cells(cfg, abt=abt):
         if cell.dataset is not dataset:  # the cells of a ratio share one dataset
             dataset = cell.dataset
-            sequences = dataset.observations()
             if kind == "viterbi":
-                truths = dataset.state_paths()
+                # The true paths have the observations' lengths, so they
+                # pack in the same row order.
+                batch = _pack(dataset.observations(), cell.reference.n_symbols)
+                truths = _pack(dataset.state_paths(), cell.reference.n_states)
             else:
-                buckets, total_w = _bucket(sequences, None, cell.reference.n_symbols)
+                batch = _bucket(dataset.observations(), None, cell.reference.n_symbols)
         model = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
         n = len(dataset)
         common = dict(
@@ -381,20 +394,17 @@ def run_sweep(cfg, kind, *, abt=None):
             seed=cell.seed,
         )
         if kind == "forward":
-            total = model._score_buckets(buckets)
+            total = model._score_batch(batch)
             rows.append(MetricRow(logp_per_seq=total / n, **common))
         elif kind == "viterbi":
-            _, paths = model.decode_all(sequences)
+            _, paths = _viterbi_batch(model, batch)
             dists = np.empty(n)
-            for idx in _by_length(truths).values():
-                dists[idx] = _sed_batch(
-                    np.stack([paths[i] for i in idx]), np.stack([truths[i] for i in idx])
-                )
+            dists[batch.order] = _sed_batch(batch.like(paths), truths)
             rows.append(MetricRow(mean_sed=float(np.mean(dists)), **common))
         else:
             fitted = model.copy()
             fitted.updates = cfg.bw_updates
-            fitted._fit_buckets(buckets, total_w)
+            fitted._fit_batch(batch)
             rows.append(MetricRow(
                 logp_per_seq=fitted.history_[-1] / n,
                 rms_error=rms_nonzero(cell.reference.a, fitted.transmat),

@@ -161,13 +161,19 @@ def test_bucket_matches_dict_merge(seqs, weighted, seed):
     rng = np.random.default_rng(seed)
     seqs = [np.asarray(s) if i % 2 else s for i, s in enumerate(seqs)]
     weights = (rng.random(len(seqs)) * 3).tolist() if weighted else None
-    got, got_total = _bucket(seqs, weights, 3)
-    want, want_total = brute_bucket(seqs, weights, 3)
-    assert len(got) == len(want)
-    for (g_obs, g_w), (w_obs, w_w) in zip(got, want):
-        assert g_obs.dtype == np.int64 and np.array_equal(g_obs, w_obs)
-        assert np.array_equal(g_w, w_w)
-    assert got_total == want_total
+    got = _bucket(seqs, weights, 3)
+    want, _ = brute_bucket(seqs, weights, 3)
+    assert got.obs.dtype == np.int64
+    assert np.all(np.diff(got.lengths) <= 0)  # longest first
+    rows = got.padded(got.obs, -1)
+    assert sorted(set(got.lengths.tolist())) == [w_obs.shape[1] for w_obs, _ in want]
+    for w_obs, w_w in want:
+        at = got.lengths == w_obs.shape[1]
+        assert np.array_equal(rows[at, :w_obs.shape[1]], w_obs)
+        assert np.array_equal(got.weights[at], w_w)
+    for r, i in enumerate(got.order):  # a row points back to its first copy
+        assert np.array_equal(rows[r, :got.lengths[r]], seqs[i])
+    assert math.fsum(got.weights) == math.fsum(w for _, w_w in want for w in w_w)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -185,6 +191,15 @@ def test_batch_entry_points_name_the_first_bad_sequence(bad, message):
         with pytest.raises(ValueError) as err:
             call(batch)
         assert str(err.value) == message
+
+
+def test_batch_entry_points_take_an_empty_batch():
+    m = tiny_model()
+    assert m.score_total([]) == 0.0
+    logps, paths = m.decode_all([])
+    assert logps.shape == (0,) and paths == []
+    with pytest.raises(ValueError, match="no sequences to fit"):
+        m.fit([])
 
 
 def mixed_length_corpus(model, rng):
@@ -229,10 +244,26 @@ def test_decode_all_is_unchanged_by_chunking(monkeypatch):
     model = DiscreteHMM(pi, a, b)
     seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
     want_lp, want_paths = model.decode_all(seqs)
-    monkeypatch.setattr(hmm_module, "_VITERBI_CHUNK_ELEMENTS", 1)  # one row per chunk
+    monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
     got_lp, got_paths = model.decode_all(seqs)
     assert np.array_equal(got_lp, want_lp)
     assert all(np.array_equal(g, w) for g, w in zip(got_paths, want_paths))
+
+
+def test_forward_and_expectation_are_unchanged_by_chunking(monkeypatch):
+    # A GEMM row may round differently with the row count, hence 1e-12.
+    rng = np.random.default_rng(607)
+    pi, a, b, _ = random_hmm_instance(rng)
+    model = DiscreteHMM(pi, a, b)
+    seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
+    batch = _bucket(seqs, rng.uniform(0.5, 2.0, size=len(seqs)), model.n_symbols)
+    want_total, want_counts = model._score_batch(batch), model._expectation(batch)
+    monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
+    assert model._score_batch(batch) == pytest.approx(want_total, rel=1e-12)
+    got_counts = model._expectation(batch)
+    assert got_counts[0] == pytest.approx(want_counts[0], rel=1e-12)
+    for g, w in zip(got_counts[1:], want_counts[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +373,8 @@ def test_fit_increases_likelihood_monotonically():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), updates=st.sampled_from(["t", "te", "ste"]))
+@given(seed=st.integers(0, 2**32 - 1),
+       updates=st.sampled_from(["s", "e", "se", "t", "te", "ste"]))
 def test_expectation_matches_path_sums(seed, updates):
     rng = np.random.default_rng(seed)
     pi, a, b, _ = random_hmm_instance(rng, max_states=3, max_symbols=3)
@@ -350,14 +382,18 @@ def test_expectation_matches_path_sums(seed, updates):
             for _ in range(int(rng.integers(1, 7)))]
     seqs += seqs[:int(rng.integers(0, len(seqs) + 1))]  # repeats merge into weights
     weights = rng.uniform(0.1, 3.0, size=len(seqs))
-    buckets, _ = _bucket(seqs, weights, b.shape[1])
-    got = DiscreteHMM(pi, a, b, updates=updates)._expectation(buckets)
+    batch = _bucket(seqs, weights, b.shape[1])
+    got = DiscreteHMM(pi, a, b, updates=updates)._expectation(batch)
     want = brute_expectation(pi, a, b, seqs, weights)
     assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
-    counted = 6 if "e" in updates else 4
-    for g, w in zip(got[1:counted], want[1:counted]):
-        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
-    assert all(g is None for g in got[counted:])
+    # a_num, a_den, pi_num, b_num, b_den: transition counts only with "t",
+    # emission counts only with "e"
+    made = ("t" in updates, "t" in updates, True, "e" in updates, "e" in updates)
+    for g, w, m in zip(got[1:], want[1:], made):
+        if m:
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+        else:
+            assert g is None
 
 
 def test_fit_preserves_structural_zeros(pick_place_model):
@@ -372,6 +408,20 @@ def test_fit_preserves_structural_zeros(pick_place_model):
     assert np.allclose(fit.transmat.sum(axis=1), 1.0, atol=1e-9)
     assert np.array_equal(fit.emissionprob, hm.emissionprob)
     assert np.array_equal(fit.startprob, hm.startprob)
+
+
+def test_fit_keeps_the_rows_of_a_state_it_never_visits():
+    # State 2 is unreachable, so its expected visits are zero; the M-step
+    # must keep its rows instead of dividing by zero.
+    rng = np.random.default_rng(17)
+    model = DiscreteHMM([0.6, 0.4, 0.0],
+                        [[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.5, 0.25, 0.25]],
+                        [[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]], updates="ste", max_iter=3)
+    seqs = [rng.integers(0, 2, size=4) for _ in range(20)]
+    model.fit(seqs)
+    assert model.transmat[2].tolist() == [0.5, 0.25, 0.25]
+    assert model.emissionprob[2].tolist() == [0.5, 0.5]
+    assert np.allclose(model.transmat[:2].sum(axis=1), 1.0)
 
 
 def test_fit_updates_flags_control_parameter_groups():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from abthmm import simulate
 from abthmm.compiler import compile_abt
-from abthmm.hmm import DiscreteHMM
+from abthmm.hmm import DiscreteHMM, _Packed
 from abthmm.simulate import (
     METRIC_COLUMNS,
     Dataset,
@@ -308,23 +308,34 @@ def test_sed_is_a_scaled_edit_distance(a, b):
 
 @st.composite
 def sed_batches(draw):
-    """Pairs sharing one length of a and one of b; a may be empty."""
-    n = draw(st.integers(1, 7))
-    m = draw(st.one_of(st.just(0), st.just(n), st.integers(0, 7)))
-    k = draw(st.integers(1, 5))
+    """Pairs for two packed batches whose rows line up: either one length
+    of a (which may be empty) against non-increasing lengths of b, or mixed
+    lengths that are equal within a pair."""
+    if draw(st.booleans()):
+        ns = sorted(draw(st.lists(st.integers(1, 7), min_size=1, max_size=5)), reverse=True)
+        m = draw(st.one_of(st.just(0), st.just(ns[0]), st.integers(0, 7)))
+        sizes = [(m, n) for n in ns]
+    else:
+        sizes = [(n, n) for n in draw(st.lists(st.integers(1, 7), min_size=1, max_size=8))]
     return [
         (draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
          draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-        for _ in range(k)
+        for m, n in sizes
     ]
+
+
+def packed(seqs):
+    flat = np.array([x for s in seqs for x in s], dtype=np.int64)
+    return _Packed.of(flat, np.array([len(s) for s in seqs], dtype=np.int64))
 
 
 @settings(max_examples=80, deadline=None)
 @given(sed_batches())
 def test_sed_batch_matches_textbook_loop(pairs):
-    a = np.array([p for p, _ in pairs], dtype=np.int64).reshape(len(pairs), -1)
-    b = np.array([q for _, q in pairs], dtype=np.int64)
-    got = _sed_batch(a, b)
+    a, b = packed([p for p, _ in pairs]), packed([q for _, q in pairs])
+    assert np.array_equal(a.order, b.order)  # the pairs line up row by row
+    got = np.empty(len(pairs))
+    got[a.order] = _sed_batch(a, b)
     assert got.tolist() == [brute_sed(p, q) for p, q in pairs]
 
 
