@@ -367,11 +367,8 @@ class _Packed:
         self.lengths = lengths
         self.order = order
         self.weights = weights
-        if len(lengths) == 1:  # score, decode and sed of one sequence
-            self.sizes = [1] * int(lengths[0])
-        else:
-            steps = int(lengths[0]) if len(lengths) else 0
-            self.sizes = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows longer than t
+        steps = int(lengths[0]) if len(lengths) else 0
+        self.sizes = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows longer than t
         self.offsets = list(itertools.accumulate(self.sizes, initial=0))
 
     @classmethod
@@ -422,20 +419,42 @@ class _Packed:
             yield slice(lo, hi), pos, sub
             lo = hi
 
-    def padded(self, values, fill):
-        """Per-step ``values`` packed like obs, as a row-major (rows, steps)
-        matrix with ``fill`` past the end of each row."""
-        out = np.full((len(self.sizes), len(self.lengths)), fill, dtype=values.dtype)
-        out[np.arange(len(self.lengths)) < np.array(self.sizes, dtype=np.int64)[:, None]] = values
-        return np.ascontiguousarray(out.T)
+    def padded_chunks(self, per_step):
+        """Split, for a kernel that pads a run of rows to its first row, into
+        runs of rows lo to hi - 1. A row's width is its length + 1. A run
+        holds only rows at least half as wide as its first, so padding at
+        most doubles the work, and its padded size, rows x width x
+        per_step, stays within _CHUNK_ELEMENTS. Yields (lo, hi)."""
+        lo, n_rows = 0, len(self.lengths)
+        while lo < n_rows:
+            width = int(self.lengths[lo]) + 1
+            hi = min(lo + max(1, _CHUNK_ELEMENTS // (per_step * width)),
+                     int(np.searchsorted(-self.lengths, 1 - width / 2, side="right")))
+            yield lo, hi
+            lo = hi
+
+    def padded(self, values, fill, lo=0, hi=None):
+        """Rows lo to hi - 1 of per-step ``values`` packed like obs, as a
+        row-major matrix as wide as row lo, the longest, with ``fill`` past
+        the end of each row."""
+        lengths = self.lengths[lo:hi]
+        width = int(lengths[0]) if len(lengths) else 0
+        pos = np.add.outer(np.arange(lo, lo + len(lengths)),
+                           np.array(self.offsets[:width], dtype=np.int64))
+        inside = np.arange(width) < lengths[:, None]
+        out = np.full(pos.shape, fill, dtype=values.dtype)
+        out[inside] = values[pos[inside]]
+        return out
 
     def unpack(self, values):
         """Per-step ``values`` packed like obs, as one array per sequence in
         input order."""
-        rows = self.padded(values, 0)
+        # A stable sort by row turns the time-major values row-major.
+        row = np.concatenate([np.empty(0, dtype=np.int64)] + [np.arange(k) for k in self.sizes])
+        flat = values[np.argsort(row, kind="stable")]
         out = [None] * len(self.lengths)
-        for r, (i, n) in enumerate(zip(self.order.tolist(), self.lengths.tolist())):
-            out[i] = rows[r, :n]
+        for i, seq in zip(self.order.tolist(), np.split(flat, np.cumsum(self.lengths)[:-1])):
+            out[i] = seq
         return out
 
 
@@ -548,8 +567,9 @@ def _viterbi_batch(model, batch):
     paths = np.empty(len(batch.obs), dtype=np.int64)
     for rows, at, sub in batch.chunks((2 * batch.lengths + n) * n):
         off, sizes = sub.offsets, sub.sizes
+        log_b = _emissions(model, sub.obs)
         with np.errstate(divide="ignore"):
-            log_b = np.log(_emissions(model, sub.obs))
+            np.log(log_b, out=log_b)
         back = np.empty((len(sub.obs), n), dtype=np.min_scalar_type(n - 1))
         final = np.empty((len(sub.lengths), n))  # each row's delta at its last step
         pick = np.arange(sizes[0] * n)

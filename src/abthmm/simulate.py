@@ -203,30 +203,44 @@ def _sed_batch(a, b):
     of b; the two must list their pairs in the same row order (for
     instance, packed from sequences of equal lengths).
 
-    The dynamic programme runs one row (one symbol of a) at a time,
-    vectorized over the rows of a that reach that symbol and along the
-    row; a pair's distance is read from its reference length's column as
-    soon as its row of a ends. Columns past that length do not feed it.
+    The rows run in chunks of b padded to their first reference (see
+    _Packed.padded_chunks), so one long reference among short ones neither
+    pads the others nor multiplies their work. Within a chunk the dynamic
+    programme runs one row (one symbol of a) at a time, vectorized over
+    the rows of a that reach that symbol and along the row; a pair's
+    distance is read from its reference length's column as soon as its
+    row of a ends. Columns past that length do not feed it.
     """
-    if len(b.lengths) and b.lengths[-1] == 0:  # the shortest row comes last
+    n_rows = len(b.lengths)
+    if n_rows and b.lengths[-1] == 0:  # the shortest row comes last
         raise ValueError("reference sequence is empty")
-    ref = b.padded(b.obs, -1)
+    dist = np.empty(n_rows, dtype=np.int64)
+    for lo, hi in b.padded_chunks(3):  # ref, row and cur
+        _sed_rows(a, b, lo, hi, dist)
+    return dist / b.lengths
+
+
+def _sed_rows(a, b, lo, hi, dist):
+    """The distances of rows lo to hi - 1 of _sed_batch, written to dist."""
+    ref = b.padded(b.obs, -1, lo, hi)
     j = np.arange(ref.shape[1] + 1)
-    row = np.repeat(j[None, :], len(b.lengths), axis=0)
-    dist = np.empty(len(b.lengths), dtype=np.int64)
-    done = len(dist)  # rows from here on have their distance read
+    row = np.repeat(j[None, :], hi - lo, axis=0)
+    lengths = b.lengths[lo:hi]
+    done = hi - lo  # chunk rows from here on have their distance read
     for i, k in enumerate(a.sizes):
+        k = min(max(k - lo, 0), done)  # chunk rows whose row of a reaches symbol i
         if k < done:
-            dist[k:done] = row[np.arange(k, done), b.lengths[k:done]]
+            dist[lo + k:lo + done] = row[np.arange(k, done), lengths[k:done]]
             done = k
+        if not k:
+            break
         cur = np.empty((k, len(j)), dtype=row.dtype)
         cur[:, 0] = i + 1
-        step = a.obs[a.offsets[i]:a.offsets[i] + k]
+        step = a.obs[a.offsets[i] + lo:a.offsets[i] + lo + k]
         np.minimum(row[:k, 1:] + 1, row[:k, :-1] + (step[:, None] != ref[:k]), out=cur[:, 1:])
         # insertions: cur[k] = min over l <= k of cur[l] + (k - l)
         row = np.minimum.accumulate(cur - j, axis=1) + j
-    dist[:done] = row[np.arange(done), b.lengths[:done]]
-    return dist / b.lengths
+    dist[lo:lo + done] = row[np.arange(done), lengths[:done]]
 
 
 def rms_nonzero(a_ref, a_est):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abthmm import hmm as hmm_module
 from abthmm import simulate
 from abthmm.compiler import compile_abt
 from abthmm.hmm import DiscreteHMM, _Packed
@@ -334,6 +335,26 @@ def packed(seqs):
 def test_sed_batch_matches_textbook_loop(pairs):
     a, b = packed([p for p, _ in pairs]), packed([q for _, q in pairs])
     assert np.array_equal(a.order, b.order)  # the pairs line up row by row
+    got = np.empty(len(pairs))
+    got[a.order] = _sed_batch(a, b)
+    assert got.tolist() == [brute_sed(p, q) for p, q in pairs]
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_sed_batch_pads_a_long_reference_on_its_own(monkeypatch, budget):
+    if budget is not None:  # also split the short rows by the element budget
+        monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(808)
+    pairs = [(rng.integers(0, 3, n).tolist(), rng.integers(0, 3, n).tolist())
+             for n in [3] * 40 + [60] + [3] * 40 + [2] * 5]
+    a, b = packed([p for p, _ in pairs]), packed([q for _, q in pairs])
+    runs = list(b.padded_chunks(3))
+    assert runs[0] == (0, 1)  # the long reference runs alone
+    assert [lo for lo, _ in runs[1:]] == [hi for _, hi in runs[:-1]] and runs[-1][1] == len(pairs)
+    for lo, hi in runs[1:]:
+        width = b.lengths[lo] + 1
+        assert 2 * (b.lengths[hi - 1] + 1) >= width
+        assert hi - lo == 1 or (hi - lo) * width * 3 <= hmm_module._CHUNK_ELEMENTS
     got = np.empty(len(pairs))
     got[a.order] = _sed_batch(a, b)
     assert got.tolist() == [brute_sed(p, q) for p, q in pairs]

@@ -20,6 +20,7 @@ standard library only.
 
 import argparse
 import filecmp
+import importlib.util
 import io
 import json
 import statistics
@@ -32,13 +33,20 @@ from pathlib import Path
 BENCH_FILES = ("perfbench", "BENCHMARK.json")
 
 
-def parse_args(argv):
+def perfbench_run(root):
+    """perfbench/run.py as a module, for its workload names and seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def parse_args(argv, bench):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    p.add_argument("--workload", nargs="+", required=True, choices=("decode", "score", "simulate"))
-    p.add_argument("--seed", nargs="+", type=int, default=[12061])
+    p.add_argument("--workload", nargs="+", required=True, choices=bench.WORKLOADS)
+    p.add_argument("--seed", nargs="+", type=int, default=[bench.DEFAULT_SEED])
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--out", required=True, help="JSON file to write (merged if it exists)")
     return p.parse_args(argv)
 
@@ -68,11 +76,12 @@ def same_benchmark(root, base_dir):
     )
 
 
-def run_once(cwd, workload, seed, seconds):
-    """One benchmark run; returns its detail line and its summary line."""
+def run_once(cwd, workload, seed):
+    """One benchmark run at run.py's default length; returns its detail
+    line and its summary line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=cwd, capture_output=True, text=True, check=False,
     )
     lines = done.stdout.strip().splitlines()
@@ -138,8 +147,8 @@ def fastest_units(runs):
 
 
 def main(argv=None):
-    args = parse_args(argv)
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
+    args = parse_args(argv, perfbench_run(root))
     base_commit = git(root, "rev-parse", args.base).decode().strip()
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     out_path = Path(args.out)
@@ -160,7 +169,7 @@ def main(argv=None):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     for side in order:
                         cwd = base_dir if side == "parent" else root
-                        detail, summary = run_once(cwd, workload, seed, args.seconds)
+                        detail, summary = run_once(cwd, workload, seed)
                         runs[side].append({"detail": detail, "summary": summary})
                         wall = summary["metrics"]["wall_s"]["value"]
                         print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} {side}: "
@@ -177,8 +186,7 @@ def main(argv=None):
                                               for rs in runs.values() for r in rs}),
                 }
     doc.update({
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "method": "tools/bench_pairs.py: the base commit (a git archive copy) and the working "
                   "tree run one at a time in alternating pairs, the side that runs first "
                   "alternating from pair to pair. Median and quartiles (statistics.quantiles, "
