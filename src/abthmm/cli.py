@@ -93,8 +93,8 @@ def cmd_simulate(args):
     abt = dsl.parse(_read(args.tree))
     dataset = rollout_dataset(abt, args.num, args.seed)
     write_dataset(dataset, args.output)
-    wins = sum(1 for r in dataset.runs if r.outcome == SUCCESS)
-    mean_len = sum(len(r.states) for r in dataset.runs) / len(dataset)
+    wins = dataset.outcomes.count(SUCCESS)
+    mean_len = len(dataset.states) / len(dataset)
     print(
         f"{len(dataset)} runs -> {args.output} "
         f"(success rate {wins / len(dataset):.4f}, mean length {mean_len:.2f})"

@@ -104,7 +104,7 @@ class DiscreteHMM:
 
     def score_total(self, sequences, weights=None):
         """Summed log-likelihood over many sequences (fsum, deterministic)."""
-        return self._score_batch(_bucket(sequences, weights, self.n_symbols))
+        return self._score_batch(_bucket(_pack(sequences, self.n_symbols), weights))
 
     def _score_batch(self, batch):
         parts = []
@@ -177,7 +177,7 @@ class DiscreteHMM:
         Structural zeros of transmat are preserved exactly. Sets history_,
         n_iter_ and converged_.
         """
-        return self._fit_batch(_bucket(sequences, weights, self.n_symbols))
+        return self._fit_batch(_bucket(_pack(sequences, self.n_symbols), weights))
 
     def _fit_batch(self, batch):
         if not batch.weights.sum() > 0:
@@ -479,17 +479,17 @@ def _pack(sequences, n_symbols):
     return _Packed.of(flat, lengths)
 
 
-def _bucket(sequences, weights, n_symbols):
-    """Packed batch of the distinct sequences, duplicates merged.
+def _bucket(batch, weights=None):
+    """The distinct rows of a packed batch, duplicates merged.
 
-    The distinct sequences keep the packed order: longest first, then
-    first seen. Each row's weight is the sum, in input order, of the
-    weights of its copies.
+    The distinct rows keep the packed order: longest first, then first
+    seen. Each row's weight is the sum, in input order, of the weights
+    (given in input order; None: one each) of its copies.
     """
-    weights = np.ones(len(sequences)) if weights is None else np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(sequences):
+    n_rows = len(batch.lengths)
+    weights = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
+    if len(weights) != n_rows:
         raise ValueError("weights length does not match sequences")
-    batch = _pack(sequences, n_symbols)
     # Copies share a length, so they sit in one run of equal-length rows.
     # Each run is gathered row-major; equal rows have equal bytes, and the
     # dict numbers the distinct ones in first-seen order. (np.unique(axis=0)

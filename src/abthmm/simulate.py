@@ -9,6 +9,7 @@ refit error over a grid of emission ratios and perturbation strengths.
 """
 
 import csv
+import itertools
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -17,8 +18,9 @@ import numpy as np
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
-from .hmm import DiscreteHMM, _Packed, _bucket, _pack, _sample_batch, _viterbi_batch
+from .hmm import DiscreteHMM, _Packed, _bucket, _sample_batch, _viterbi_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
+from .validation import check_observations
 
 DEFAULT_N_SEQUENCES = 15_000
 DEFAULT_SEED = 12061
@@ -36,18 +38,75 @@ class Run:
     outcome: str
 
 
-@dataclass
 class Dataset:
-    runs: list
+    """Rollout runs stored back to back, as the sampler makes them.
+
+    ``states`` and ``obs`` hold every run's visited states and symbols in
+    one read-only int64 array each, and run i is
+    ``states[ends[i - 1]:ends[i]]`` (from 0 for the first run);
+    ``outcomes[i]`` is its outcome. ``runs`` builds Run tuples on each
+    call, for callers that want them.
+    """
+
+    def __init__(self, states, obs, ends, outcomes):
+        self.states, self.obs, self.ends = (_read_only(a) for a in (states, obs, ends))
+        self.outcomes = tuple(outcomes)
+
+    @classmethod
+    def from_runs(cls, runs):
+        """A dataset holding the given Runs, in order."""
+        runs = list(runs)
+        return cls._of([r.states for r in runs], [r.obs for r in runs],
+                       [r.outcome for r in runs])
+
+    @classmethod
+    def _of(cls, states, obs, outcomes):
+        """A dataset from per-run sequences of states and of symbols (ints,
+        or their decimal text)."""
+        states, lengths = _flat(states)
+        obs, obs_lengths = _flat(obs)
+        bad = np.flatnonzero(lengths != obs_lengths)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"run {i} has {lengths[i]} states but {obs_lengths[i]} symbols")
+        return cls(states, obs, np.cumsum(lengths), outcomes)
 
     def __len__(self):
-        return len(self.runs)
+        return len(self.ends)
+
+    @property
+    def lengths(self):
+        return np.diff(self.ends, prepend=0)
+
+    @property
+    def runs(self):
+        return [Run(tuple(s), tuple(o), outcome) for s, o, outcome in zip(
+            self._per_run(self.states.tolist()), self._per_run(self.obs.tolist()), self.outcomes)]
 
     def observations(self):
-        return [np.asarray(r.obs, dtype=np.int64) for r in self.runs]
+        """Each run's symbols, as read-only views of ``obs``."""
+        return self._per_run(self.obs)
 
     def state_paths(self):
-        return [np.asarray(r.states, dtype=np.int64) for r in self.runs]
+        """Each run's states, as read-only views of ``states``."""
+        return self._per_run(self.states)
+
+    def _per_run(self, flat):
+        """Per-run slices of a sequence laid out like ``states``."""
+        bounds = [0, *self.ends.tolist()]
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _read_only(values):
+    values = np.asarray(values, dtype=np.int64)
+    values.flags.writeable = False
+    return values
+
+
+def _flat(seqs):
+    """Sequences back to back as one int64 array, and their lengths."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    return np.array(list(itertools.chain.from_iterable(seqs)), dtype=np.int64), lengths
 
 
 def rollout_dataset(abt, n, seed, *, model=None):
@@ -71,14 +130,8 @@ def rollout_dataset(abt, n, seed, *, model=None):
         )
     except RuntimeError:
         raise TickLimitError(f"run did not finish within {VISIT_CAP} visits") from None
-    states, obs = states.tolist(), obs.tolist()
-    runs = []
-    lo = 0
-    for hi in ends.tolist():
-        outcome = SUCCESS if states[hi - 1] == model.o_s else FAILURE
-        runs.append(Run(tuple(states[lo:hi]), tuple(obs[lo:hi]), outcome))
-        lo = hi
-    return Dataset(runs)
+    outcomes = np.where(states[ends - 1] == model.o_s, SUCCESS, FAILURE).tolist()
+    return Dataset(states, obs, ends, outcomes)
 
 
 def estimate_ps(dataset, model):
@@ -88,27 +141,32 @@ def estimate_ps(dataset, model):
     target counts as a success, the failure target as a failure. Returns
     (estimates, counts); a leaf that was never visited gets nan and 0.
     """
-    state_leaf = {q: g for g, q in enumerate(model.leaf_states) if q is not None}
+    states = dataset.states
     n_leaves = len(model.leaf_states)
-    wins = np.zeros(n_leaves)
-    counts = np.zeros(n_leaves, dtype=np.int64)
-    for run in dataset.runs:
-        states = run.states
-        for t in range(len(states) - 1):
-            q = states[t]
-            if q not in state_leaf:
-                continue
-            e = model.edges[q]
-            if e is None:
-                raise ValueError(f"state {q} has no edge labels")
-            g = state_leaf[q]
-            counts[g] += 1
-            if states[t + 1] == e.succ_target:
-                wins[g] += 1
-            elif states[t + 1] != e.fail_target:
-                raise ValueError(
-                    f"transition {q} -> {states[t + 1]} matches neither outcome"
-                )
+    leaf = np.full(model.n_states, -1)  # each state's leaf, or -1
+    for g, q in enumerate(model.leaf_states):
+        if q is not None:
+            leaf[q] = g
+    labeled = np.array([e is not None for e in model.edges])
+    succ = np.array([-1 if e is None else e.succ_target for e in model.edges])
+    fail = np.array([-1 if e is None else e.fail_target for e in model.edges])
+    cut = np.zeros(len(states) + 1, dtype=bool)
+    cut[dataset.ends] = True  # a run starts at this position
+    at = np.flatnonzero(~cut[1:-1])  # visits followed by a visit of the same run
+    q = states[at]
+    at = at[(q >= 0) & (q < model.n_states)]  # other numbers name no state
+    at = at[leaf[states[at]] >= 0]  # visits of leaf states
+    q, nxt = states[at], states[at + 1]
+    won = nxt == succ[q]
+    bad = ~labeled[q] | (~won & (nxt != fail[q]))
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad visit, in run order
+        if not labeled[q[i]]:
+            raise ValueError(f"state {q[i]} has no edge labels")
+        raise ValueError(f"transition {q[i]} -> {nxt[i]} matches neither outcome")
+    g = leaf[q]
+    counts = np.bincount(g, minlength=n_leaves)
+    wins = np.bincount(g[won], minlength=n_leaves)
     with np.errstate(invalid="ignore"):
         ps_hat = np.where(counts > 0, wins / np.maximum(counts, 1), np.nan)
     return ps_hat, counts
@@ -390,13 +448,16 @@ def run_sweep(cfg, kind, *, abt=None):
     for cell in sweep_cells(cfg, abt=abt):
         if cell.dataset is not dataset:  # the cells of a ratio share one dataset
             dataset = cell.dataset
+            lengths = dataset.lengths
+            batch = _Packed.of(
+                check_observations(dataset.obs, cell.reference.n_symbols), lengths)
             if kind == "viterbi":
                 # The true paths have the observations' lengths, so they
                 # pack in the same row order.
-                batch = _pack(dataset.observations(), cell.reference.n_symbols)
-                truths = _pack(dataset.state_paths(), cell.reference.n_states)
+                truths = _Packed.of(check_observations(
+                    dataset.states, cell.reference.n_states, "states"), lengths)
             else:
-                batch = _bucket(dataset.observations(), None, cell.reference.n_symbols)
+                batch = _bucket(batch)
         model = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
         n = len(dataset)
         common = dict(
@@ -482,23 +543,31 @@ def write_dataset(dataset, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("run", "states", "obs", "outcome"))
-        for i, run in enumerate(dataset.runs):
-            writer.writerow((
-                i,
-                " ".join(str(s) for s in run.states),
-                " ".join(str(o) for o in run.obs),
-                run.outcome,
-            ))
+        writer.writerows(zip(
+            range(len(dataset)), _joined(dataset, dataset.states),
+            _joined(dataset, dataset.obs), dataset.outcomes,
+        ))
+
+
+def _joined(dataset, flat):
+    """Each run's values of a flat column as space-joined text; each
+    distinct value is turned to text once."""
+    values, inverse = np.unique(flat, return_inverse=True)
+    words = np.array(list(map(str, values.tolist())), dtype=object)[inverse].tolist()
+    return [" ".join(run) for run in dataset._per_run(words)]
 
 
 def read_dataset(path):
-    runs = []
+    """A dataset from a file written by write_dataset."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            runs.append(Run(
-                tuple(int(x) for x in rec["states"].split()),
-                tuple(int(x) for x in rec["obs"].split()),
-                rec["outcome"],
-            ))
-    return Dataset(runs)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]  # skip blank lines
+    columns = {}
+    for name in ("states", "obs", "outcome"):
+        if name not in header:
+            raise ValueError(f"{path} has no {name!r} column")
+        i = header.index(name)
+        columns[name] = [row[i] for row in rows]
+    return Dataset._of(list(map(str.split, columns["states"])),
+                       list(map(str.split, columns["obs"])), columns["outcome"])

@@ -265,7 +265,36 @@ def brute_rollout(abt, n, seed, *, model=None):
         states.append(terminal)
         obs.append(draw_index(cdf[terminal], rng))
         runs.append(Run(tuple(states), tuple(obs), outcome))
-    return Dataset(runs)
+    return Dataset.from_runs(runs)
+
+
+def brute_estimate_ps(dataset, model):
+    """Per-run loop over every leaf visit: the success-rate estimate and
+    the visit count per leaf, nan and 0 for a leaf never visited."""
+    state_leaf = {q: g for g, q in enumerate(model.leaf_states) if q is not None}
+    n_leaves = len(model.leaf_states)
+    wins = np.zeros(n_leaves)
+    counts = np.zeros(n_leaves, dtype=np.int64)
+    for run in dataset.runs:
+        states = run.states
+        for t in range(len(states) - 1):
+            q = states[t]
+            if q not in state_leaf:
+                continue
+            e = model.edges[q]
+            if e is None:
+                raise ValueError(f"state {q} has no edge labels")
+            g = state_leaf[q]
+            counts[g] += 1
+            if states[t + 1] == e.succ_target:
+                wins[g] += 1
+            elif states[t + 1] != e.fail_target:
+                raise ValueError(
+                    f"transition {q} -> {states[t + 1]} matches neither outcome"
+                )
+    with np.errstate(invalid="ignore"):
+        ps_hat = np.where(counts > 0, wins / np.maximum(counts, 1), np.nan)
+    return ps_hat, counts
 
 
 def brute_bucket(sequences, weights, n_symbols):

@@ -5,6 +5,7 @@ from abthmm import dsl
 from abthmm.cli import main
 from abthmm.compiler import apply_retry, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
+from abthmm.tree import SUCCESS
 
 from conftest import MODELS
 
@@ -68,9 +69,13 @@ def test_simulate_writes_runs(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     assert main(["simulate", PICK, "-n", "50", "--seed", "3", "-o", str(out)]) == 0
     said = capsys.readouterr().out
-    assert "50 runs ->" in said and "success rate" in said
     data = read_dataset(out)
     assert len(data) == 50
+    runs = data.runs
+    rate = sum(run.outcome == SUCCESS for run in runs) / 50
+    mean_len = sum(len(run.states) for run in runs) / 50
+    assert f"50 runs -> {out} (success rate {rate:.4f}, mean length {mean_len:.2f})" in said
+    assert 0 < rate < 1
     again = tmp_path / "again.csv"
     main(["simulate", PICK, "-n", "50", "--seed", "3", "-o", str(again)])
     assert out.read_bytes() == again.read_bytes()

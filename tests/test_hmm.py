@@ -11,6 +11,7 @@ from abthmm.hmm import (
     DiscreteHMM,
     ImpossibleSequenceError,
     _bucket,
+    _pack,
     _sample_batch,
     load_hmm,
     save_hmm,
@@ -161,7 +162,7 @@ def test_bucket_matches_dict_merge(seqs, weighted, seed):
     rng = np.random.default_rng(seed)
     seqs = [np.asarray(s) if i % 2 else s for i, s in enumerate(seqs)]
     weights = (rng.random(len(seqs)) * 3).tolist() if weighted else None
-    got = _bucket(seqs, weights, 3)
+    got = _bucket(_pack(seqs, 3), weights)
     want, _ = brute_bucket(seqs, weights, 3)
     assert got.obs.dtype == np.int64
     assert np.all(np.diff(got.lengths) <= 0)  # longest first
@@ -256,7 +257,7 @@ def test_forward_and_expectation_are_unchanged_by_chunking(monkeypatch):
     pi, a, b, _ = random_hmm_instance(rng)
     model = DiscreteHMM(pi, a, b)
     seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
-    batch = _bucket(seqs, rng.uniform(0.5, 2.0, size=len(seqs)), model.n_symbols)
+    batch = _bucket(_pack(seqs, model.n_symbols), rng.uniform(0.5, 2.0, size=len(seqs)))
     want_total, want_counts = model._score_batch(batch), model._expectation(batch)
     monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
     assert model._score_batch(batch) == pytest.approx(want_total, rel=1e-12)
@@ -382,7 +383,7 @@ def test_expectation_matches_path_sums(seed, updates):
             for _ in range(int(rng.integers(1, 7)))]
     seqs += seqs[:int(rng.integers(0, len(seqs) + 1))]  # repeats merge into weights
     weights = rng.uniform(0.1, 3.0, size=len(seqs))
-    batch = _bucket(seqs, weights, b.shape[1])
+    batch = _bucket(_pack(seqs, b.shape[1]), weights)
     got = DiscreteHMM(pi, a, b, updates=updates)._expectation(batch)
     want = brute_expectation(pi, a, b, seqs, weights)
     assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abthmm import hmm as hmm_module
+from abthmm import parse
 from abthmm import simulate
 from abthmm.compiler import compile_abt
 from abthmm.hmm import DiscreteHMM, _Packed
@@ -42,7 +45,14 @@ from abthmm.tree import (
     TickLimitError,
 )
 
-from conftest import brute_rollout, brute_sample, brute_sed, uniform_row
+from conftest import (
+    REPO,
+    brute_estimate_ps,
+    brute_rollout,
+    brute_sample,
+    brute_sed,
+    uniform_row,
+)
 
 
 def seed_with_first_draw(bit):
@@ -177,6 +187,22 @@ def test_visit_cap_counts_the_visits_before_the_output_state(monkeypatch):
         rollout_dataset(three, 2, seed=0)
 
 
+def test_dataset_is_flat_and_builds_runs_on_demand(pick_place):
+    d = rollout_dataset(pick_place, 30, seed=4)
+    runs = d.runs
+    assert len(d) == 30 and d.runs is not runs  # built again, not cached
+    assert Dataset.from_runs(runs).runs == runs
+    assert [o.tolist() for o in d.observations()] == [list(r.obs) for r in runs]
+    assert [s.tolist() for s in d.state_paths()] == [list(r.states) for r in runs]
+    assert all(o.dtype == np.int64 for o in d.observations() + d.state_paths())
+    assert list(d.outcomes) == [r.outcome for r in runs]
+    for flat in (d.states, d.obs, d.observations()[0], d.state_paths()[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 1
+    with pytest.raises(ValueError, match="run 1 has 2 states but 1 symbols"):
+        Dataset.from_runs([Run((0,), (0,), SUCCESS), Run((0, 1), (0,), SUCCESS)])
+
+
 # ----------------------------------------------------------------------
 # ps recovery
 
@@ -192,9 +218,52 @@ def test_estimate_ps_recovers_leaf_rates(pick_place, pick_place_model):
 
 
 def test_estimate_ps_rejects_foreign_transitions(pick_place_model):
-    alien = Dataset([Run((0, 3, 4), (0, 0, 0), SUCCESS)])
+    alien = Dataset.from_runs([Run((0, 3, 4), (0, 0, 0), SUCCESS)])
     with pytest.raises(ValueError, match="matches neither outcome"):
         estimate_ps(alien, pick_place_model)
+
+
+@pytest.mark.parametrize("tree", ["pick_place", "patrol", "parallel_retry"])
+def test_estimate_ps_matches_the_per_run_loop(tree, request):
+    if tree == "parallel_retry":
+        abt = parse((REPO / "perfbench" / "trees" / "parallel_retry.abt").read_text())
+    else:
+        abt = request.getfixturevalue(tree)
+    model = compile_abt(abt)
+    data = rollout_dataset(abt, 2000, seed=31, model=model)
+    got, got_counts = estimate_ps(data, model)
+    want, want_counts = brute_estimate_ps(data, model)
+    np.testing.assert_array_equal(got, want)  # nan in the same places
+    np.testing.assert_array_equal(got_counts, want_counts)
+    assert got_counts.dtype == want_counts.dtype
+    if tree == "parallel_retry":
+        assert 0 < np.count_nonzero(want_counts == 0) < len(want_counts)  # the block's leaves
+    # Runs cut before their output state end on a leaf; the next run's first
+    # visit does not classify it.
+    cut = Dataset.from_runs([Run(r.states[:-1], r.obs[:-1], r.outcome) for r in data.runs])
+    got, got_counts = estimate_ps(cut, model)
+    want, want_counts = brute_estimate_ps(cut, model)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_counts, want_counts)
+
+
+def test_estimate_ps_raises_the_per_run_loops_first_error(pick_place, pick_place_model):
+    m = pick_place_model
+    runs = rollout_dataset(pick_place, 20, seed=2, model=m).runs
+    alien = Run((0, 3, 4), (0, 0, 0), SUCCESS)  # 0 -> 3 is neither of state 0's targets
+    no_grasp_labels = replace(m, edges=m.edges[:1] + (None,) + m.edges[2:])
+    cases = (
+        (runs, no_grasp_labels, "state 1 has no edge labels"),
+        (runs + [alien], m, "transition 0 -> 3 matches neither outcome"),
+        ([alien] + runs, no_grasp_labels, "transition 0 -> 3 matches neither outcome"),
+        (runs + [alien], no_grasp_labels, "state 1 has no edge labels"),
+    )
+    for runs_, model, message in cases:
+        data = Dataset.from_runs(runs_)
+        for estimate in (estimate_ps, brute_estimate_ps):
+            with pytest.raises(ValueError) as err:
+                estimate(data, model)
+            assert str(err.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -495,6 +564,21 @@ def test_run_sweep_buckets_once_yet_matches_per_cell_calls(pick_place):
         assert b_row.final_logp == fitted.history_[-1]
         assert b_row.bw_iters == fitted.n_iter_
         assert b_row.rms_error == rms_nonzero(cell.reference.a, fitted.transmat)
+
+
+def test_run_sweep_viterbi_matches_per_sequence_decode(pick_place):
+    # run_sweep packs each ratio's symbols and true paths once for all its
+    # cells; every row must equal the mean SED of decode_all's paths.
+    cfg = SweepConfig(model="unused", ratios=(0.0, 0.25, 1.0),
+                      perturbations=(0.0, 0.25, "random"), n_sequences=120, master_seed=5)
+    vit = run_sweep(cfg, "viterbi", abt=pick_place)
+    cells = list(sweep_cells(cfg, abt=pick_place))
+    assert len(vit) == len(cells) == 9
+    for cell, row in zip(cells, vit):
+        model = getattr(cell.start, "hmm", cell.start)
+        _, paths = model.decode_all(cell.dataset.observations())
+        truths = cell.dataset.state_paths()
+        assert row.mean_sed == np.mean([sed(p, t) for p, t in zip(paths, truths)])
 
 
 def test_run_sweep_perfect_start_scores_best(pick_place):

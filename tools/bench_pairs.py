@@ -48,7 +48,10 @@ def parse_args(argv, bench):
     p.add_argument("--seed", nargs="+", type=int, default=[bench.DEFAULT_SEED])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out", required=True, help="JSON file to write (merged if it exists)")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs must be at least 1, got {args.pairs}")
+    return args
 
 
 def git(root, *args):
