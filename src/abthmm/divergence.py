@@ -88,8 +88,12 @@ class SyntheticEmissionSpec:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValueError("n_states must be positive")
+        if not math.isfinite(self.ratio):
+            raise ValueError(f"ratio must be finite, got {self.ratio}")
         if self.ratio < 0:
             raise ValueError("ratio must be non-negative")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 

@@ -343,8 +343,8 @@ def _emissions(model, obs):
 
 # Upper bound on the elements a kernel allocates for one chunk of rows of a
 # packed batch: each (steps, N) array of the forward pass and the E-step,
-# and Viterbi's log emissions, back pointers and (rows, N, N) candidates
-# together. 1 << 19 float64 elements are 4 MB. Larger batches are processed
+# and Viterbi's deltas (kept over its log emissions) and (N, max_in, rows)
+# candidates together. 1 << 19 float64 elements are 4 MB. Larger batches are processed
 # in chunks of rows.
 _CHUNK_ELEMENTS = 1 << 19
 
@@ -362,14 +362,16 @@ class _Packed:
     sits at ``offsets[lengths[r] - 1] + r``.
     """
 
-    def __init__(self, obs, lengths, order, weights):
+    def __init__(self, obs, lengths, order, weights, sizes=None):
         self.obs = obs
         self.lengths = lengths
         self.order = order
         self.weights = weights
-        steps = int(lengths[0]) if len(lengths) else 0
-        self.sizes = np.searchsorted(-lengths, -np.arange(steps)).tolist()  # rows longer than t
-        self.offsets = list(itertools.accumulate(self.sizes, initial=0))
+        if sizes is None:  # rows longer than t, unless the caller knows them
+            steps = int(lengths[0]) if len(lengths) else 0
+            sizes = np.searchsorted(-lengths, -np.arange(steps)).tolist()
+        self.sizes = sizes
+        self.offsets = list(itertools.accumulate(sizes, initial=0))
 
     @classmethod
     def of(cls, flat, lengths):
@@ -385,11 +387,22 @@ class _Packed:
     @classmethod
     def single(cls, obs):
         """A batch of one sequence, whose packed symbols are the sequence."""
-        return cls(obs, np.array([len(obs)]), np.zeros(1, dtype=np.int64), np.ones(1))
+        return cls(obs, np.array([len(obs)]), np.zeros(1, dtype=np.int64), np.ones(1),
+                   [1] * len(obs))
 
     def like(self, obs):
         """The same layout holding other per-step values, e.g. state paths."""
-        return _Packed(obs, self.lengths, self.order, self.weights)
+        return _Packed(obs, self.lengths, self.order, self.weights, self.sizes)
+
+    def repeat(self, copies):
+        """The batch with each row ``copies`` times in a row: row r * copies
+        + p is copy p of row r, and position i * copies + p of its obs is
+        copy p of position i of self's. So values packed like self, one
+        array per copy stacked as x of shape (copies, S), pack like the
+        repeat as ``x.T.ravel()``."""
+        return _Packed(np.repeat(self.obs, copies), np.repeat(self.lengths, copies),
+                       np.repeat(self.order, copies), np.repeat(self.weights, copies),
+                       [k * copies for k in self.sizes])
 
     def take(self, rows):
         """The sub-batch of the given rows (ascending) and the positions of
@@ -407,7 +420,7 @@ class _Packed:
         sub-batch), where rows is a slice and positions index the
         sub-batch's symbols in obs."""
         n_rows = len(self.lengths)
-        ends = np.cumsum(cost)
+        ends = cost.cumsum()
         if n_rows and ends[-1] <= _CHUNK_ELEMENTS:
             yield slice(0, n_rows), slice(None), self
             return
@@ -558,49 +571,60 @@ def _viterbi_batch(model, batch):
     Returns each row's best-path log-likelihood, shape (B,), and the paths
     packed like obs. Ties go to the lower state index at every step. Raises
     ImpossibleSequenceError if any sequence has probability zero.
+
+    The deltas are indexed by state, shape (N, S): step t of the rows that
+    reach it is ``delta[:, offsets[t]:offsets[t] + sizes[t]]``. They are
+    the transposed view of the (S, N) log emissions they are computed in,
+    so a step's block is one contiguous run of memory. A state's delta
+    is the max over its predecessors only (the non-zeros of its column of
+    transmat), so a step costs N x max_in candidates a row, where max_in is
+    the largest in-degree. There are no back pointers: the walk back
+    recomputes each row's predecessor from the previous step's deltas,
+    taking the first maximum, as the forward pass would have.
     """
     n = model.n_states
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a transition or symbol that cannot occur
         log_into = np.log(model.transmat.T)  # row j: log a[i, j] over the from-states i
-        log_pi = np.log(model.startprob)
-    logp = np.empty(len(batch.lengths))
-    paths = np.empty(len(batch.obs), dtype=np.int64)
-    for rows, at, sub in batch.chunks((2 * batch.lengths + n) * n):
-        off, sizes = sub.offsets, sub.sizes
-        log_b = _emissions(model, sub.obs)
-        with np.errstate(divide="ignore"):
-            np.log(log_b, out=log_b)
-        back = np.empty((len(sub.obs), n), dtype=np.min_scalar_type(n - 1))
-        final = np.empty((len(sub.lengths), n))  # each row's delta at its last step
-        pick = np.arange(sizes[0] * n)
-        # One candidate row per (sequence, next state), reduced along its
-        # contiguous axis; the best value is read at the argmax, the first
-        # maximum.
-        cands = np.empty((sizes[0] * n, n))
-        delta = log_pi + log_b[:sizes[0]]
-        for t in range(1, len(sizes)):
-            k = sizes[t]
-            final[k:len(delta)] = delta[k:]
-            cand = cands[:k * n]
-            np.add(delta[:k, None, :], log_into, out=cand.reshape(k, n, n))
-            best = cand.argmax(axis=1)
-            back[off[t]:off[t] + k] = best.reshape(k, n)
-            delta = cand[pick[:k * n], best].reshape(k, n)
-            delta += log_b[off[t]:off[t] + k]
-        final[:len(delta)] = delta
-        if np.any(np.all(np.isinf(final), axis=1)):
-            raise ImpossibleSequenceError("sequence impossible under the model")
-        logp[rows] = final.max(axis=1)
-        # Walk back: state[r] is row r's state at step t, for the rows that
-        # reach step t; a row joins the walk at its last step.
-        state = np.argmax(final, axis=1)
-        out = np.empty(len(sub.obs), dtype=np.int64)
-        for t in range(len(sizes) - 1, -1, -1):
-            k = sizes[t]
-            out[off[t]:off[t] + k] = state[:k]
-            if t:
-                state[:k] = back[off[t] + pick[:k], state[:k]]
-        paths[at] = out
+        log_pi = np.log(model.startprob)[:, None]
+        logp = np.empty(len(batch.lengths))
+        paths = np.empty(len(batch.obs), dtype=np.int64)
+        # The max_in slots of state j hold its predecessors (the non-zeros
+        # of column j of transmat) and, if it has fewer, states it cannot
+        # come from, at log weight -inf.
+        into = log_into > -np.inf
+        max_in = into.sum(axis=1).max()
+        src = into.argsort(axis=1, kind="stable")[:, n - max_in:]
+        log_w = log_into[np.arange(n)[:, None], src][:, :, None]
+        # Per row: its deltas, written over its emissions (N a step), and
+        # its N x max_in candidates.
+        for rows, at, sub in batch.chunks(batch.lengths * n + src.size):
+            off, sizes = sub.offsets, sub.sizes
+            by_step = _emissions(model, sub.obs)  # row p: the deltas at packed position p
+            delta = np.log(by_step, out=by_step).T
+            delta[:, :sizes[0]] += log_pi
+            cands = np.empty(src.size * sizes[0])
+            for t in range(1, len(sizes)):
+                k = sizes[t]
+                cand = cands[:src.size * k].reshape(n, max_in, k)
+                delta[:, off[t - 1]:off[t - 1] + k].take(src, axis=0, out=cand, mode="clip")
+                cand += log_w
+                delta[:, off[t]:off[t] + k] += cand.max(axis=1)
+            final = delta[:, np.asarray(off)[sub.lengths - 1] + np.arange(len(sub.lengths))]
+            best = final.max(axis=0)
+            if best.min() == -np.inf:
+                raise ImpossibleSequenceError("sequence impossible under the model")
+            logp[rows] = best
+            # Walk back: state[r] is row r's state at step t, for the rows
+            # that reach step t; a row joins the walk at its last step.
+            state = final.argmax(axis=0)
+            out = np.empty(len(sub.obs), dtype=np.int64)
+            for t in range(len(sizes) - 1, 0, -1):
+                k = sizes[t]
+                out[off[t]:off[t] + k] = state[:k]
+                prev = by_step[off[t - 1]:off[t - 1] + k]
+                state[:k] = (log_into[state[:k]] + prev).argmax(axis=1)
+            out[:sizes[0]] = state
+            paths[at] = out
     return logp, paths
 
 

@@ -197,19 +197,18 @@ def perturb_hmm(model, spec):
     new = replace(model, hmm=model.hmm.copy())
     if spec.p_tilde == 0.0:
         return new
-    rng = np.random.default_rng(spec.seed)
     a = new.hmm.transmat
-    for i in range(model.n_states):
-        if model.edges[i] is None:
-            continue
-        r = 1.0 if rng.integers(0, 2) == 1 else -1.0
-        cols = np.nonzero(a[i])[0]
-        if cols.size != 2:
-            continue
-        c1, c2 = int(cols[0]), int(cols[1])
-        p1 = float(np.clip((1.0 + spec.p_tilde * r) * a[i, c1], 0.05, 0.95))
-        a[i, c1] = p1
-        a[i, c2] = 1.0 - p1
+    rows = np.flatnonzero([e is not None for e in model.edges])
+    # One sign per labeled row, in row order, drawn even for a row that is
+    # then skipped for not having exactly two non-zeros.
+    signs = 2.0 * np.random.default_rng(spec.seed).integers(0, 2, size=len(rows)) - 1.0
+    at, cols = np.nonzero(a[rows] != 0)  # the labeled rows' non-zeros, row by row
+    two = np.bincount(at, minlength=len(rows)) == 2
+    rows, signs, cols = rows[two], signs[two], cols[two[at]]
+    c1, c2 = cols[0::2], cols[1::2]  # each kept row's two columns, ascending
+    p1 = np.clip((1.0 + spec.p_tilde * signs) * a[rows, c1], 0.05, 0.95)
+    a[rows, c1] = p1
+    a[rows, c2] = 1.0 - p1
     return new
 
 
@@ -256,6 +255,13 @@ def sed(a, b):
     )[0])
 
 
+# Elements _sed_batch counts a padded cell. A step works on four int64
+# (rows, width) arrays: ref, row, cur and diag. Counting each twice holds
+# them to 2 MB, which a core's L2 cache keeps; with larger chunks the
+# row-by-row passes run slower.
+_SED_COST = 8
+
+
 def _sed_batch(a, b):
     """sed over the pairs of two packed batches, row r of a against row r
     of b; the two must list their pairs in the same row order (for
@@ -273,32 +279,39 @@ def _sed_batch(a, b):
     if n_rows and b.lengths[-1] == 0:  # the shortest row comes last
         raise ValueError("reference sequence is empty")
     dist = np.empty(n_rows, dtype=np.int64)
-    for lo, hi in b.padded_chunks(3):  # ref, row and cur
+    for lo, hi in b.padded_chunks(_SED_COST):
         _sed_rows(a, b, lo, hi, dist)
     return dist / b.lengths
 
 
 def _sed_rows(a, b, lo, hi, dist):
-    """The distances of rows lo to hi - 1 of _sed_batch, written to dist."""
+    """The distances of rows lo to hi - 1 of _sed_batch, written to dist.
+
+    For each pair it keeps y[c] = D[c] - c - i, where D[c] is the distance
+    between the first i symbols of a and the first c of b: all zeros at
+    i = 0. A symbol of a makes y[c] = min(y[c], y[c - 1] - 1 - (a_i ==
+    b_c)) for c >= 1, y[0] = 0, and then a running minimum along the row
+    (the insertions). The pair's distance is y[len(b)] + len(b) + i once
+    its row of a ends.
+    """
     ref = b.padded(b.obs, -1, lo, hi)
-    j = np.arange(ref.shape[1] + 1)
-    row = np.repeat(j[None, :], hi - lo, axis=0)
     lengths = b.lengths[lo:hi]
+    row, cur = np.zeros((2, hi - lo, ref.shape[1] + 1), dtype=np.int64)  # column 0 stays 0
     done = hi - lo  # chunk rows from here on have their distance read
     for i, k in enumerate(a.sizes):
         k = min(max(k - lo, 0), done)  # chunk rows whose row of a reaches symbol i
         if k < done:
-            dist[lo + k:lo + done] = row[np.arange(k, done), lengths[k:done]]
+            dist[lo + k:lo + done] = row[np.arange(k, done), lengths[k:done]] + lengths[k:done] + i
             done = k
         if not k:
             break
-        cur = np.empty((k, len(j)), dtype=row.dtype)
-        cur[:, 0] = i + 1
         step = a.obs[a.offsets[i] + lo:a.offsets[i] + lo + k]
-        np.minimum(row[:k, 1:] + 1, row[:k, :-1] + (step[:, None] != ref[:k]), out=cur[:, 1:])
-        # insertions: cur[k] = min over l <= k of cur[l] + (k - l)
-        row = np.minimum.accumulate(cur - j, axis=1) + j
-    dist[lo:lo + done] = row[np.arange(done), lengths[:done]]
+        diag = row[:k, :-1] - (step[:, None] == ref[:k])
+        diag -= 1
+        np.minimum(row[:k, 1:], diag, out=cur[:k, 1:])
+        np.minimum.accumulate(cur[:k], axis=1, out=cur[:k])
+        row, cur = cur, row
+    dist[lo:lo + done] = row[np.arange(done), lengths[:done]] + lengths[:done] + len(a.sizes)
 
 
 def rms_nonzero(a_ref, a_est):
@@ -444,50 +457,64 @@ def run_sweep(cfg, kind, *, abt=None):
     if kind not in ("forward", "viterbi", "bw"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     rows = []
-    dataset = None
-    for cell in sweep_cells(cfg, abt=abt):
-        if cell.dataset is not dataset:  # the cells of a ratio share one dataset
-            dataset = cell.dataset
-            lengths = dataset.lengths
-            batch = _Packed.of(
-                check_observations(dataset.obs, cell.reference.n_symbols), lengths)
-            if kind == "viterbi":
-                # The true paths have the observations' lengths, so they
-                # pack in the same row order.
-                truths = _Packed.of(check_observations(
-                    dataset.states, cell.reference.n_states, "states"), lengths)
-            else:
-                batch = _bucket(batch)
-        model = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
-        n = len(dataset)
-        common = dict(
-            kind=kind,
-            ratio=cell.ratio,
-            perturbation=cell.perturbation,
-            n_states=cell.reference.n_states,
-            n_seqs=n,
-            seed=cell.seed,
-        )
-        if kind == "forward":
-            total = model._score_batch(batch)
-            rows.append(MetricRow(logp_per_seq=total / n, **common))
-        elif kind == "viterbi":
-            _, paths = _viterbi_batch(model, batch)
-            dists = np.empty(n)
-            dists[batch.order] = _sed_batch(batch.like(paths), truths)
-            rows.append(MetricRow(mean_sed=float(np.mean(dists)), **common))
+    # The cells of a ratio come one after another and share one dataset,
+    # which is checked and packed once for all of them. Taking them by
+    # count, not by comparing datasets, keeps the next ratio's dataset
+    # from being made before this one's cells are done.
+    grid = sweep_cells(cfg, abt=abt)
+    while cells := list(itertools.islice(grid, len(cfg.perturbations))):
+        dataset, reference = cells[0].dataset, cells[0].reference
+        models = [c.start.hmm if isinstance(c.start, LabeledHMM) else c.start for c in cells]
+        lengths = dataset.lengths
+        batch = _Packed.of(check_observations(dataset.obs, reference.n_symbols), lengths)
+        if kind == "viterbi":
+            # The true paths have the observations' lengths, so they pack
+            # in the same row order.
+            truths = _Packed.of(check_observations(
+                dataset.states, reference.n_states, "states"), lengths)
+            mean_seds = _mean_seds(models, batch, truths)
         else:
-            fitted = model.copy()
-            fitted.updates = cfg.bw_updates
-            fitted._fit_batch(batch)
-            rows.append(MetricRow(
-                logp_per_seq=fitted.history_[-1] / n,
-                rms_error=rms_nonzero(cell.reference.a, fitted.transmat),
-                bw_iters=fitted.n_iter_,
-                final_logp=fitted.history_[-1],
-                **common,
-            ))
+            batch = _bucket(batch)
+        n = len(dataset)
+        for i, (cell, model) in enumerate(zip(cells, models)):
+            common = dict(kind=kind, ratio=cell.ratio, perturbation=cell.perturbation,
+                          n_states=reference.n_states, n_seqs=n, seed=cell.seed)
+            if kind == "forward":
+                total = model._score_batch(batch)
+                rows.append(MetricRow(logp_per_seq=total / n, **common))
+            elif kind == "viterbi":
+                rows.append(MetricRow(mean_sed=mean_seds[i], **common))
+            else:
+                fitted = model.copy()
+                fitted.updates = cfg.bw_updates
+                fitted._fit_batch(batch)
+                rows.append(MetricRow(
+                    logp_per_seq=fitted.history_[-1] / n,
+                    rms_error=rms_nonzero(cell.reference.a, fitted.transmat),
+                    bw_iters=fitted.n_iter_,
+                    final_logp=fitted.history_[-1],
+                    **common,
+                ))
     return rows
+
+
+def _mean_seds(models, batch, truths):
+    """Each model's mean SED, over the sequences in input order, between its
+    Viterbi paths of a packed batch and the true paths packed in the same
+    row order. A run of rows takes one _sed_batch call for all P models,
+    whose row r * P + p holds model p's path of row r (see
+    _Packed.repeat). A run is about as large as one of _sed_batch's
+    chunks, so the P paths and the repeated truths held for it stay small
+    however many sequences the batch has."""
+    copies = len(models)
+    dists = np.empty((copies, len(batch.lengths)))
+    for _, at, sub in batch.chunks(_SED_COST * copies * batch.lengths):
+        paths = np.empty((len(sub.obs), copies), dtype=np.int64)
+        for p, model in enumerate(models):
+            paths[:, p] = _viterbi_batch(model, sub)[1]
+        stacked = sub.like(truths.obs[at]).repeat(copies)
+        dists[:, sub.order] = _sed_batch(stacked.like(paths.ravel()), stacked).reshape(-1, copies).T
+    return [float(np.mean(d)) for d in dists]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,29 @@ def brute_estimate_ps(dataset, model):
     with np.errstate(invalid="ignore"):
         ps_hat = np.where(counts > 0, wins / np.maximum(counts, 1), np.nan)
     return ps_hat, counts
+
+
+def brute_perturb(model, spec):
+    """perturb_hmm as a per-row loop: one scalar sign draw per labeled row,
+    then the row's first non-zero scaled and clamped and its second set to
+    the complement, when the row has exactly two non-zeros."""
+    new = replace(model, hmm=model.hmm.copy())
+    if spec.p_tilde == 0.0:
+        return new
+    rng = np.random.default_rng(spec.seed)
+    a = new.hmm.transmat
+    for i in range(model.n_states):
+        if model.edges[i] is None:
+            continue
+        r = 1.0 if rng.integers(0, 2) == 1 else -1.0
+        cols = np.nonzero(a[i])[0]
+        if cols.size != 2:
+            continue
+        c1, c2 = int(cols[0]), int(cols[1])
+        p1 = float(np.clip((1.0 + spec.p_tilde * r) * a[i, c1], 0.05, 0.95))
+        a[i, c1] = p1
+        a[i, c2] = 1.0 - p1
+    return new
 
 
 def brute_bucket(sequences, weights, n_symbols):

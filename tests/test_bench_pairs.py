@@ -79,3 +79,25 @@ def test_summarize_shows_a_gain_and_flags_a_bound():
          "change": runs_of({"ok_ops_frac": v} for v in [0.99] * 10)}, DECLARED[1:])
     assert not lower_ok["ok_ops_frac"]["within_bound"]  # 1 % lower against a 0.1 % bound
     assert lower_ok["ok_ops_frac"]["change_losses"] == 10
+
+
+def test_output_digests_are_kept_per_side(capsys):
+    def runs_with(outputs):
+        return [{"detail": {"outputs": out}} for out in outputs]
+
+    same = {"parent": runs_with([{"b": 2, "a": 1}, {"a": 1, "b": 2}]),
+            "change": runs_with([{"a": 1, "b": 2}])}
+    digests, equal = bench_pairs.output_digests(same, "decode seed 7")
+    assert equal
+    assert digests == {"parent": ['{"a": 1, "b": 2}'], "change": ['{"a": 1, "b": 2}']}
+    assert capsys.readouterr().err == ""
+
+    # One change run made another output: the sides differ, even though
+    # the change also made the parent's output.
+    changed = {"parent": runs_with([{"a": 1}, {"a": 1}]),
+               "change": runs_with([{"a": 1}, {"a": 3}])}
+    digests, equal = bench_pairs.output_digests(changed, "decode seed 7")
+    assert not equal
+    assert digests == {"parent": ['{"a": 1}'], "change": ['{"a": 1}', '{"a": 3}']}
+    assert capsys.readouterr().err == (
+        "warning: decode seed 7: the change's outputs differ from the base's\n")

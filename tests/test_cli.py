@@ -109,6 +109,20 @@ def test_sweep_rejects_zero_sequences(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_table1_and_sweep_reject_a_non_finite_ratio(tmp_path, capsys, ratio):
+    assert main(["table1", "--ratios", f"1,{ratio}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"ratio must be finite, got {ratio}" in err
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"model = {PICK}\nratios = {ratio}\nperturbations = 0\nn_sequences = 5\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["sweep", "--kind", "viterbi", "--config", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"ratio must be finite, got {ratio}" in err
+    assert not out.exists()
+
+
 def test_sweep_from_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

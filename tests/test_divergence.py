@@ -148,3 +148,15 @@ def test_jsd_all_rejects_bad_weights():
         jsd_all(rows, weights=[0.9, 0.9])
     with pytest.raises(ValueError):
         jsd_all(rows, weights=[1.0])
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("ratio", dict(ratio=math.inf)),
+    ("ratio", dict(ratio=-math.inf)),
+    ("ratio", dict(ratio=math.nan)),
+    ("sigma", dict(ratio=1.0, sigma=math.inf)),
+    ("sigma", dict(ratio=1.0, sigma=math.nan)),
+])
+def test_synthetic_spec_rejects_non_finite_values(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SyntheticEmissionSpec(6, **kwargs)

@@ -209,9 +209,15 @@ def mixed_length_corpus(model, rng):
 
 def test_decode_all_matches_exhaustive_and_decode():
     rng = np.random.default_rng(505)
-    for _ in range(12):
-        pi, a, b, _ = random_hmm_instance(rng)
-        model = DiscreteHMM(pi, a, b)
+    models = [DiscreteHMM(*random_hmm_instance(rng)[:3]) for _ in range(12)]
+    # Absorbing models have what the instances above never do: states with
+    # no predecessor, zero start entries and rows with one non-zero.
+    models += [random_absorbing_model(rng)[0] for _ in range(12)]
+    into = [(m.transmat > 0).sum(axis=0) for m in models]
+    assert any((d == 0).any() for d in into)
+    assert any((m.startprob == 0).any() for m in models)
+    for model in models:
+        pi, a, b = model.startprob, model.transmat, model.emissionprob
         seqs = mixed_length_corpus(model, rng)
         logps, paths = model.decode_all(seqs)
         assert len(logps) == len(paths) == len(seqs)
@@ -228,6 +234,11 @@ def test_decode_all_tie_breaks_toward_low_state_index():
     model = DiscreteHMM([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]])
     _, paths = model.decode_all([[0, 0, 0], [0], [0, 0, 0], [0, 0]])
     assert [list(p) for p in paths] == [[0, 0, 0], [0], [0, 0, 0], [0, 0]]
+    # Two predecessors of state 2 tie; state 2 is the only one reachable.
+    sparse = DiscreteHMM([0.5, 0.5, 0.0], [[0, 0, 1], [0, 0, 1], [0, 0, 1]], [[1.0]] * 3)
+    logps, paths = sparse.decode_all([[0, 0, 0], [0], [0, 0]])
+    assert [list(p) for p in paths] == [[0, 2, 2], [0], [0, 2]]
+    assert logps.tolist() == [math.log(0.5)] * 3
 
 
 def test_decode_all_rejects_a_batch_with_an_impossible_sequence():
@@ -241,14 +252,14 @@ def test_decode_all_rejects_a_batch_with_an_impossible_sequence():
 
 def test_decode_all_is_unchanged_by_chunking(monkeypatch):
     rng = np.random.default_rng(606)
-    pi, a, b, _ = random_hmm_instance(rng)
-    model = DiscreteHMM(pi, a, b)
-    seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
-    want_lp, want_paths = model.decode_all(seqs)
-    monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
-    got_lp, got_paths = model.decode_all(seqs)
-    assert np.array_equal(got_lp, want_lp)
-    assert all(np.array_equal(g, w) for g, w in zip(got_paths, want_paths))
+    for model in (DiscreteHMM(*random_hmm_instance(rng)[:3]), random_absorbing_model(rng)[0]):
+        seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
+        with monkeypatch.context() as patch:
+            want_lp, want_paths = model.decode_all(seqs)
+            patch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
+            got_lp, got_paths = model.decode_all(seqs)
+        assert np.array_equal(got_lp, want_lp)
+        assert all(np.array_equal(g, w) for g, w in zip(got_paths, want_paths))
 
 
 def test_forward_and_expectation_are_unchanged_by_chunking(monkeypatch):

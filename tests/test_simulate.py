@@ -48,6 +48,7 @@ from abthmm.tree import (
 from conftest import (
     REPO,
     brute_estimate_ps,
+    brute_perturb,
     brute_rollout,
     brute_sample,
     brute_sed,
@@ -326,6 +327,35 @@ def test_perturb_signs_pair_across_levels(pick_place_model):
         assert abs(d2) > abs(d1)
 
 
+SURE_LEAF = """
+(sequence
+  (leaf check :ps 1 :emit (gauss))
+  (selector
+    (leaf grab :ps 0.7 :emit (gauss))
+    (leaf regrab :ps 0.4 :emit (gauss))))
+"""
+
+
+@pytest.mark.parametrize("source", ["pick_place", "patrol", "parallel_retry", "sure_leaf"])
+def test_perturb_matches_the_per_row_loop(source, pick_place_model, patrol_model):
+    model = {
+        "pick_place": pick_place_model,
+        "patrol": patrol_model,
+        "parallel_retry": compile_abt(parse((REPO / "perfbench" / "trees" / "parallel_retry.abt").read_text())),
+        "sure_leaf": compile_abt(parse(SURE_LEAF)),
+    }[source]
+    counts = (model.a != 0).sum(axis=1)
+    labeled = np.array([e is not None for e in model.edges])
+    if source == "parallel_retry":
+        assert not labeled.all()  # the product rows have no label
+    if source == "sure_leaf":
+        assert (labeled & (counts == 1)).any()  # the :ps 1 row: drawn for, then skipped
+    for p_tilde in (0.1, 0.5):  # 0.5 hits the clamps
+        for seed in range(6):
+            spec = PerturbationSpec(p_tilde, seed)
+            assert np.array_equal(perturb_hmm(model, spec).a, brute_perturb(model, spec).a)
+
+
 def test_randomize_hmm(pick_place_model):
     out = randomize_hmm(pick_place_model, seed=2)
     assert isinstance(out, DiscreteHMM)
@@ -427,6 +457,26 @@ def test_sed_batch_pads_a_long_reference_on_its_own(monkeypatch, budget):
     got = np.empty(len(pairs))
     got[a.order] = _sed_batch(a, b)
     assert got.tolist() == [brute_sed(p, q) for p, q in pairs]
+
+
+def test_repeated_batch_scores_every_copy_in_one_sed_call():
+    # Row r * P + p of a batch repeated P times is copy p of row r; values
+    # (P, S) packed like the batch pack like the repeat as x.T.ravel().
+    rng = np.random.default_rng(809)
+    truths = [rng.integers(0, 4, n).tolist() for n in (3, 7, 1, 7, 4, 3)]
+    copies = 3
+    guesses = [[rng.integers(0, 4, len(t)).tolist() for t in truths] for _ in range(copies)]
+    b = packed(truths)
+    rep = b.repeat(copies)
+    want = packed([t for t in truths for _ in range(copies)])
+    assert np.array_equal(rep.obs, want.obs) and np.array_equal(rep.lengths, want.lengths)
+    assert rep.sizes == want.sizes and rep.offsets == want.offsets
+    assert np.array_equal(rep.order, want.order // copies)
+    x = np.stack([packed(g).obs for g in guesses])  # packed like b: equal lengths
+    dists = _sed_batch(rep.like(x.T.ravel()), rep).reshape(-1, copies)
+    got = np.empty((len(truths), copies))
+    got[b.order] = dists
+    assert got.tolist() == [[brute_sed(g[i], t) for g in guesses] for i, t in enumerate(truths)]
 
 
 def test_rms_nonzero_hand_value():
@@ -579,6 +629,20 @@ def test_run_sweep_viterbi_matches_per_sequence_decode(pick_place):
         _, paths = model.decode_all(cell.dataset.observations())
         truths = cell.dataset.state_paths()
         assert row.mean_sed == np.mean([sed(p, t) for p, t in zip(paths, truths)])
+
+
+def test_run_sweep_viterbi_is_unchanged_by_runs_of_rows(monkeypatch, pick_place):
+    # A small budget splits each ratio's decode and SED into many runs of
+    # rows; the mean over input order must not move.
+    cfg = SweepConfig(model="unused", ratios=(0.0, 1.0), perturbations=(0.1, "random"),
+                      n_sequences=90, master_seed=8)
+    whole = run_sweep(cfg, "viterbi", abt=pick_place)
+    calls = []
+    sed_batch = simulate._sed_batch
+    monkeypatch.setattr(simulate, "_sed_batch", lambda a, b: calls.append(1) or sed_batch(a, b))
+    monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 300)
+    assert run_sweep(cfg, "viterbi", abt=pick_place) == whole
+    assert len(calls) > 2 * len(cfg.ratios)  # several runs of rows a ratio
 
 
 def test_run_sweep_perfect_start_scores_best(pick_place):

@@ -12,7 +12,9 @@ Pairs run one process at a time; the side that runs first alternates from
 pair to pair, so a slow stretch of a shared host falls on both sides. The
 base copy is extracted from ``git archive`` into a temporary directory.
 Both sides must hold the same ``perfbench/`` and ``BENCHMARK.json``: a
-gain is only shown by the same benchmark code measuring both. Results for
+gain is only shown by the same benchmark code measuring both. Each side's
+outputs are kept apart (``output_digests``, ``same_outputs``), and a
+warning goes to stderr when the change's differ from the base's. Results for
 a workload and seed already in the output file are replaced, the others
 kept, so one file can gather runs made by several calls. Uses the
 standard library only.
@@ -133,6 +135,19 @@ def summarize(runs, declared):
     return out
 
 
+def output_digests(runs, label):
+    """Each side's distinct outputs, as sorted JSON texts, and whether the
+    two sides made the same set of outputs; warns on stderr, naming
+    ``label``, when they did not."""
+    digests = {side: sorted({json.dumps(r["detail"]["outputs"], sort_keys=True) for r in side_runs})
+               for side, side_runs in runs.items()}
+    same = digests["parent"] == digests["change"]
+    if not same:
+        print(f"warning: {label}: the change's outputs differ from the base's",
+              file=sys.stderr, flush=True)
+    return digests, same
+
+
 def fastest_units(runs):
     """Median over a side's runs of each unit's fastest time in the run."""
     out = {}
@@ -178,6 +193,7 @@ def main(argv=None):
                         print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} {side}: "
                               f"wall_s {wall:.4f}", file=sys.stderr, flush=True)
                 machine = machine or runs["parent"][0]["detail"]["env"]
+                digests, same = output_digests(runs, f"{workload} seed {seed}")
                 results[(workload, seed)] = {
                     "workload": workload,
                     "seed": seed,
@@ -185,8 +201,8 @@ def main(argv=None):
                     "all_correct": all(r["summary"]["correct"] for rs in runs.values() for r in rs),
                     "metrics": summarize(runs, declared),
                     "fastest_unit_s": fastest_units(runs),
-                    "output_digests": sorted({json.dumps(r["detail"]["outputs"], sort_keys=True)
-                                              for rs in runs.values() for r in rs}),
+                    "output_digests": digests,
+                    "same_outputs": same,
                 }
     doc.update({
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
