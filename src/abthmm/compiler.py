@@ -833,6 +833,11 @@ def load_model(path):
             ft = int(f_part.removeprefix("F:"))
         except (ValueError, AttributeError):
             raise ValueError(f"bad edge label for state {i}: {text!r}")
+        if not (0 <= st < n and 0 <= ft < n):
+            raise ValueError(f"edge label for state {i} targets a state outside [0, {n}): {text!r}")
+        if np.delete(hmm.transmat[i], [st, ft]).any():
+            raise ValueError(
+                f"state {i} has transition mass outside its labeled targets {st}, {ft}")
         edges.append(EdgeLabel(st, ft))
     retry = []
     for i, e in enumerate(edges):

@@ -17,13 +17,6 @@ from .validation import check_probability_vector
 _FLOOR = 1e-300
 
 
-def entropy(p):
-    """Shannon entropy of a distribution, in bits. Zero cells contribute 0."""
-    p = check_probability_vector(p, "p")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def kl_divergence(p, q):
     """Relative entropy D(p || q) in bits.
 

@@ -1,4 +1,4 @@
-"""Behavior tree node types and execution semantics.
+"""Behavior tree node types, validation and canonical form.
 
 Leaves are numbered depth first, left to right. A tree with l leaves has
 two implicit output states: index l for overall success and l + 1 for
@@ -15,7 +15,7 @@ VISIT_CAP = 10_000
 
 
 class TickLimitError(RuntimeError):
-    """Raised when a tick exceeds the visit cap (a retry loop that never exits)."""
+    """Raised when a rollout exceeds the visit cap (a retry loop that never exits)."""
 
 
 class UnsupportedStructureError(ValueError):
@@ -235,125 +235,8 @@ def _walk_successors(node, start, succ, fail, out):
     return pos
 
 
-@dataclass(frozen=True)
-class TickTrace:
-    visited: tuple
-    result: str
-
-
-def execute(root, leaf_offset=0):
-    """Generator that walks the tree.
-
-    It yields ("leaf", index) for an ordinary leaf visit and expects SUCCESS
-    or FAILURE back. For a parallel node it yields
-    ("parallel", node, statuses) where statuses holds one entry per child:
-    ("run", leaf_index) for a child waiting at a leaf or ("done", outcome)
-    for a finished one; the reply is a list with an outcome for every
-    running child. Returns the overall outcome.
-    """
-    if isinstance(root, Leaf):
-        outcome = yield ("leaf", leaf_offset)
-        return outcome
-    if isinstance(root, Sequence):
-        pos = leaf_offset
-        for child in root.children:
-            outcome = yield from execute(child, pos)
-            if outcome == FAILURE:
-                return FAILURE
-            pos += n_leaves(child)
-        return SUCCESS
-    if isinstance(root, Selector):
-        pos = leaf_offset
-        for child in root.children:
-            outcome = yield from execute(child, pos)
-            if outcome == SUCCESS:
-                return SUCCESS
-            pos += n_leaves(child)
-        return FAILURE
-    if isinstance(root, Retry):
-        while True:
-            outcome = yield from execute(root.child, leaf_offset)
-            if outcome == SUCCESS:
-                return SUCCESS
-    if isinstance(root, Parallel):
-        return (yield from _execute_parallel(root, leaf_offset))
-    raise TypeError(f"not a tree node: {root!r}")
-
-
-def _execute_parallel(node, leaf_offset):
-    gens = []
-    statuses = []
-    pos = leaf_offset
-    for child in node.children:
-        g = execute(child, pos)
-        pos += n_leaves(child)
-        try:
-            kind, idx = g.send(None)
-        except StopIteration:  # pragma: no cover - children always hold a leaf
-            raise UnsupportedStructureError("parallel child with no leaves")
-        if kind != "leaf":
-            raise UnsupportedStructureError("parallel children must be plain subtrees")
-        gens.append(g)
-        statuses.append(("run", idx))
-    while True:
-        outcomes = yield ("parallel", node, tuple(statuses))
-        it = iter(outcomes)
-        for i, status in enumerate(statuses):
-            if status[0] != "run":
-                continue
-            try:
-                event = gens[i].send(next(it))
-            except StopIteration as stop:
-                statuses[i] = ("done", stop.value)
-                continue
-            kind, idx = event
-            if kind != "leaf":
-                raise UnsupportedStructureError("parallel children must be plain subtrees")
-            statuses[i] = ("run", idx)
-        if all(s[0] == "done" for s in statuses):
-            return parallel_outcome(statuses, node.threshold)
-
-
 def parallel_outcome(statuses, threshold):
     """Outcome of a finished parallel node: SUCCESS iff the share of its
     ("done", outcome) statuses that succeeded reaches the threshold."""
     wins = sum(1 for s in statuses if s[1] == SUCCESS)
     return SUCCESS if wins / len(statuses) >= threshold - 1e-12 else FAILURE
-
-
-def tick(abt, outcomes):
-    """Run the tree once with a fixed outcome per leaf and return the trace.
-
-    outcomes maps every leaf index to SUCCESS or FAILURE; entries for leaves
-    that are never reached are ignored. Retry loops that cannot exit under
-    the given outcomes raise TickLimitError after VISIT_CAP visits.
-    """
-    total = abt.n_leaves
-    for i in range(total):
-        if i not in outcomes:
-            raise ValueError(f"no outcome given for leaf {i}")
-        if outcomes[i] not in (SUCCESS, FAILURE):
-            raise ValueError(f"outcome for leaf {i} must be {SUCCESS!r} or {FAILURE!r}")
-    visited = []
-    gen = execute(abt.root)
-    reply = None
-    try:
-        while True:
-            event = gen.send(reply)
-            if event[0] == "leaf":
-                idx = event[1]
-                reply = outcomes[idx]
-                visited.append((idx, reply))
-            else:
-                reply = []
-                for status in event[2]:
-                    if status[0] == "run":
-                        idx = status[1]
-                        reply.append(outcomes[idx])
-                        visited.append((idx, outcomes[idx]))
-            if len(visited) > VISIT_CAP:
-                raise TickLimitError(
-                    f"tree did not finish within {VISIT_CAP} leaf visits"
-                )
-    except StopIteration as stop:
-        return TickTrace(tuple(visited), stop.value)

@@ -18,10 +18,14 @@ from abthmm.tree import (
     ABTDefinition,
     Leaf,
     LeafStats,
+    Parallel,
+    Retry,
     Selector,
     Sequence,
     TickLimitError,
-    execute,
+    UnsupportedStructureError,
+    n_leaves,
+    parallel_outcome,
 )
 from abthmm.validation import check_observations
 
@@ -216,6 +220,109 @@ def brute_sample(model, rng, absorbing=None, max_steps=10_000):
             return np.asarray(states, dtype=np.int64), np.asarray(obs, dtype=np.int64)
         state = draw_index(trans_cdf[state], rng)
     raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+
+
+# ----------------------------------------------------------------------
+# the tree walker: an executor independent of the compiled matrix, and
+# the oracles built on it
+
+
+def execute(root, leaf_offset=0):
+    """Generator that walks the tree.
+
+    It yields ("leaf", index) for an ordinary leaf visit and expects SUCCESS
+    or FAILURE back. For a parallel node it yields
+    ("parallel", node, statuses) where statuses holds one entry per child:
+    ("run", leaf_index) for a child waiting at a leaf or ("done", outcome)
+    for a finished one; the reply is a list with an outcome for every
+    running child. Returns the overall outcome.
+    """
+    if isinstance(root, Leaf):
+        outcome = yield ("leaf", leaf_offset)
+        return outcome
+    if isinstance(root, Sequence):
+        pos = leaf_offset
+        for child in root.children:
+            outcome = yield from execute(child, pos)
+            if outcome == FAILURE:
+                return FAILURE
+            pos += n_leaves(child)
+        return SUCCESS
+    if isinstance(root, Selector):
+        pos = leaf_offset
+        for child in root.children:
+            outcome = yield from execute(child, pos)
+            if outcome == SUCCESS:
+                return SUCCESS
+            pos += n_leaves(child)
+        return FAILURE
+    if isinstance(root, Retry):
+        while True:
+            outcome = yield from execute(root.child, leaf_offset)
+            if outcome == SUCCESS:
+                return SUCCESS
+    if isinstance(root, Parallel):
+        return (yield from _execute_parallel(root, leaf_offset))
+    raise TypeError(f"not a tree node: {root!r}")
+
+
+def _execute_parallel(node, leaf_offset):
+    gens = []
+    statuses = []
+    pos = leaf_offset
+    for child in node.children:
+        g = execute(child, pos)
+        pos += n_leaves(child)
+        try:
+            kind, idx = g.send(None)
+        except StopIteration:  # pragma: no cover - children always hold a leaf
+            raise UnsupportedStructureError("parallel child with no leaves")
+        if kind != "leaf":
+            raise UnsupportedStructureError("parallel children must be plain subtrees")
+        gens.append(g)
+        statuses.append(("run", idx))
+    while True:
+        outcomes = yield ("parallel", node, tuple(statuses))
+        it = iter(outcomes)
+        for i, status in enumerate(statuses):
+            if status[0] != "run":
+                continue
+            try:
+                event = gens[i].send(next(it))
+            except StopIteration as stop:
+                statuses[i] = ("done", stop.value)
+                continue
+            kind, idx = event
+            if kind != "leaf":
+                raise UnsupportedStructureError("parallel children must be plain subtrees")
+            statuses[i] = ("run", idx)
+        if all(s[0] == "done" for s in statuses):
+            return parallel_outcome(statuses, node.threshold)
+
+
+def walk_fixed(abt, outcomes):
+    """(visited, result) of one walk where leaf i always answers
+    outcomes[i]: visited holds one (leaf index, outcome) per leaf visit. A
+    walk that does not finish within the visit cap raises TickLimitError."""
+    visited = []
+    gen = execute(abt.root)
+    reply = None
+    try:
+        while True:
+            event = gen.send(reply)
+            if event[0] == "leaf":
+                reply = outcomes[event[1]]
+                visited.append((event[1], reply))
+            else:
+                running = [m[1] for m in event[2] if m[0] == "run"]
+                reply = [outcomes[i] for i in running]
+                visited.extend(zip(running, reply))
+            if len(visited) > VISIT_CAP:
+                raise TickLimitError(
+                    f"tree did not finish within {VISIT_CAP} leaf visits"
+                )
+    except StopIteration as stop:
+        return tuple(visited), stop.value
 
 
 def brute_rollout(abt, n, seed, *, model=None):

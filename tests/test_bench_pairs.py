@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py: argument checks and the pair summary."""
+"""tools/bench_pairs.py: argument checks, the pair summary and partial writes."""
 
 import importlib.util
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -101,3 +102,33 @@ def test_output_digests_are_kept_per_side(capsys):
     assert digests == {"parent": ['{"a": 1}'], "change": ['{"a": 1}', '{"a": 3}']}
     assert capsys.readouterr().err == (
         "warning: decode seed 7: the change's outputs differ from the base's\n")
+
+
+def test_each_finished_workload_is_written_before_a_later_run_fails(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    out = tmp_path / "pairs.json"
+
+    def git(root, *args):
+        return f"{tmp_path}\n".encode() if "--show-toplevel" in args else b"abc123\n"
+
+    def run_once(cwd, workload, seed):
+        if workload == "score":
+            raise RuntimeError("benchmark run failed")
+        detail = {"env": {"host": "test"}, "outputs": {"a": 1}, "passes": [{"units": {"u": 0.5}}]}
+        summary = {"correct": True,
+                   "metrics": {"wall_s": {"value": 1.0}, "ok_ops_frac": {"value": 1.0}}}
+        return detail, summary
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "perfbench_run", lambda root: BENCH)
+    monkeypatch.setattr(bench_pairs, "extract", lambda root, rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "same_benchmark", lambda root, base_dir: True)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+
+    with pytest.raises(RuntimeError, match="benchmark run failed"):
+        bench_pairs.main(["--workload", "decode", "score", "--seed", "1", "2",
+                          "--pairs", "2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert [(r["workload"], r["seed"]) for r in doc["results"]] == [("decode", 1), ("decode", 2)]
+    assert doc["parent_commit"] == "abc123" and doc["machine"] == {"host": "test"}
+    assert doc["results"][0]["metrics"]["wall_s"]["parent_runs"] == [1.0, 1.0]

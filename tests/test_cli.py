@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from abthmm import dsl
 from abthmm.cli import main
-from abthmm.compiler import apply_retry, compile_abt, load_model, save_model
+from abthmm.compiler import EdgeLabel, apply_retry, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
 from abthmm.tree import SUCCESS
 
@@ -219,3 +221,36 @@ def test_sweep_kind_is_validated(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "sideways", "--config", "c", "-o", "m"])
     assert exc.value.code == 2
+
+
+def test_model_files_with_edge_labels_no_tree_makes_are_refused(tmp_path, capsys):
+    def model_file(source, name, label_of_state_0):
+        path = tmp_path / f"{name}.json"
+        save_model(compile_abt(dsl.parse(source)), path)
+        doc = json.loads(path.read_text())
+        doc["edge_labels"][0] = label_of_state_0
+        path.write_text(json.dumps(doc))
+        return path
+
+    one_leaf = "(ratio 1.0)\n(leaf a :ps 0.5 :emit (gauss))"
+    with open(PICK) as fh:
+        pick = fh.read()
+    bad = [
+        (model_file(one_leaf, "high", "S:7 F:2"), "targets a state outside"),
+        (model_file(one_leaf, "negative", "S:1 F:-5"), "targets a state outside"),
+        # pick_place's first leaf fails to state 5; a label naming 4 leaves
+        # the mass on column 5 unlabelled
+        (model_file(pick, "unlabelled", "S:1 F:4"), "mass outside its labeled targets"),
+    ]
+    for path, message in bad:
+        with pytest.raises(ValueError, match=f"state 0 .*{message}"):
+            load_model(path)
+        for command in ("check", "decompile"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "state 0" in err
+
+    # A leaf that always succeeds keeps a zero-probability failure edge.
+    sure = model_file(one_leaf.replace("0.5 :emit", "1 :emit"), "sure", "S:1 F:2")
+    model = load_model(sure)
+    assert model.edges[0] == EdgeLabel(1, 2) and model.a[0, 2] == 0.0

@@ -9,7 +9,6 @@ from abthmm.divergence import (
     SyntheticEmissionSpec,
     default_n_symbols,
     divergence_table,
-    entropy,
     jsd_all,
     js_divergence,
     kl_divergence,
@@ -31,12 +30,6 @@ JSD_ALL_16 = (0.0, 1.2752544054478228, 3.0194056224848063,
 
 def dirichlet_rows(rng, k, j):
     return rng.dirichlet(np.ones(j), size=k)
-
-
-def test_entropy_hand_values():
-    assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, abs=1e-12)
-    assert entropy([1.0, 0.0]) == 0.0
-    assert entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kl_hand_value():

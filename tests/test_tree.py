@@ -16,14 +16,12 @@ from abthmm.tree import (
     TickLimitError,
     UnsupportedStructureError,
     canonicalize,
-    execute,
     leaves_of,
     successor_map,
-    tick,
     validate_abt,
 )
 
-from conftest import make_leaf, random_canonical_tree, uniform_row
+from conftest import execute, make_leaf, random_canonical_tree, uniform_row, walk_fixed
 
 
 def abt_of(root, j=8):
@@ -31,7 +29,7 @@ def abt_of(root, j=8):
 
 
 def follow_map(smap, total, outcomes):
-    """Drive the successor map with fixed outcomes; mirrors one tick."""
+    """Drive the successor map with fixed outcomes: (visited, result)."""
     visited = []
     g = 0
     while g < total:
@@ -58,10 +56,7 @@ def test_successor_map_matches_tick_exhaustively():
         smap = successor_map(abt)
         for combo in itertools.product((SUCCESS, FAILURE), repeat=l):
             outcomes = dict(enumerate(combo))
-            trace = tick(abt, outcomes)
-            visited, result = follow_map(smap, l, outcomes)
-            assert trace.visited == visited
-            assert trace.result == result
+            assert walk_fixed(abt, outcomes) == follow_map(smap, l, outcomes)
 
 
 def test_successor_targets_strictly_increase():
@@ -87,8 +82,8 @@ def test_sequential_pathway_exists():
             s, f = smap[g]
             assert g + 1 in (s, f)
             outcomes[g] = SUCCESS if s == g + 1 else FAILURE
-        trace = tick(abt, outcomes)
-        assert [v[0] for v in trace.visited] == list(range(l))
+        visited, _ = walk_fixed(abt, outcomes)
+        assert [v[0] for v in visited] == list(range(l))
 
 
 def test_successor_map_rejects_decorators():
@@ -134,25 +129,17 @@ def test_validate_abt_flags_bad_numbers():
     assert not validate_abt(short).ok
 
 
-def test_tick_needs_every_leaf_outcome():
-    abt = abt_of(Sequence((make_leaf(0), make_leaf(1))))
-    with pytest.raises(ValueError):
-        tick(abt, {0: SUCCESS})
-    with pytest.raises(ValueError):
-        tick(abt, {0: SUCCESS, 1: "maybe"})
-
-
 def test_tick_retry_repeats_until_success():
     abt = abt_of(Retry(Selector((make_leaf(0), make_leaf(1)))))
-    trace = tick(abt, {0: FAILURE, 1: SUCCESS})
-    assert trace.visited == ((0, FAILURE), (1, SUCCESS))
-    assert trace.result == SUCCESS
+    visited, result = walk_fixed(abt, {0: FAILURE, 1: SUCCESS})
+    assert visited == ((0, FAILURE), (1, SUCCESS))
+    assert result == SUCCESS
 
 
 def test_tick_retry_loop_hits_visit_cap():
     abt = abt_of(Retry(make_leaf(0)))
     with pytest.raises(TickLimitError):
-        tick(abt, {0: FAILURE})
+        walk_fixed(abt, {0: FAILURE})
 
 
 def test_execute_parallel_status_protocol():

@@ -16,8 +16,9 @@ gain is only shown by the same benchmark code measuring both. Each side's
 outputs are kept apart (``output_digests``, ``same_outputs``), and a
 warning goes to stderr when the change's differ from the base's. Results for
 a workload and seed already in the output file are replaced, the others
-kept, so one file can gather runs made by several calls. Uses the
-standard library only.
+kept, so one file can gather runs made by several calls. The file is
+written again after each workload and seed, so a run that fails late keeps
+the results measured before it. Uses the standard library only.
 """
 
 import argparse
@@ -164,6 +165,22 @@ def fastest_units(runs):
     return out
 
 
+def write(out_path, doc, results, base_commit, machine):
+    doc.update({
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "method": "tools/bench_pairs.py: the base commit (a git archive copy) and the working "
+                  "tree run one at a time in alternating pairs, the side that runs first "
+                  "alternating from pair to pair. Median and quartiles (statistics.quantiles, "
+                  "n=4) over each side's runs; change_wins/change_losses count the pairs where "
+                  "the change reads better/worse; fastest_unit_s is the median over runs of "
+                  "each run's fastest time of the unit.",
+        "parent_commit": base_commit,
+        "machine": machine,
+        "results": [results[k] for k in sorted(results)],
+    })
+    out_path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None):
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     args = parse_args(argv, perfbench_run(root))
@@ -204,19 +221,9 @@ def main(argv=None):
                     "output_digests": digests,
                     "same_outputs": same,
                 }
-    doc.update({
-        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
-        "method": "tools/bench_pairs.py: the base commit (a git archive copy) and the working "
-                  "tree run one at a time in alternating pairs, the side that runs first "
-                  "alternating from pair to pair. Median and quartiles (statistics.quantiles, "
-                  "n=4) over each side's runs; change_wins/change_losses count the pairs where "
-                  "the change reads better/worse; fastest_unit_s is the median over runs of "
-                  "each run's fastest time of the unit.",
-        "parent_commit": base_commit,
-        "machine": machine,
-        "results": [results[k] for k in sorted(results)],
-    })
-    out_path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+                # Written after every workload and seed, so a later failing
+                # run keeps the pairs already measured.
+                write(out_path, doc, results, base_commit, machine)
     return 0
 
 
