@@ -17,7 +17,7 @@ combination of child positions.
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,17 +27,15 @@ from .tree import (
     FAILURE,
     Leaf,
     LeafStats,
-    Parallel,
-    Retry,
     SUCCESS,
     Selector,
     Sequence,
     UnsupportedStructureError,
     canonicalize,
-    leaves_of,
     n_leaves,
     parallel_outcome,
     successor_map,
+    unit_successors,
     validate_abt,
 )
 
@@ -79,16 +77,11 @@ class ParallelBlock:
 
     statuses lists the product states in state order, starting with the
     entry; each one is a tuple with a ("run", leaf) or ("done", outcome)
-    marker per child. n_core is the nominal product dimension, the product
-    of the children's leaf counts.
+    marker per child.
     """
 
     first: int
     statuses: tuple
-    threshold: float
-    succ_target: int
-    fail_target: int
-    n_core: int
 
     @property
     def n_states(self):
@@ -161,85 +154,59 @@ def compile_abt(abt, *, state_cap=None):
         path, message = report.violations[0]
         raise ValueError(f"invalid tree at {path or 'root'}: {message}")
 
-    acc = {"atoms": [], "next_leaf": 0, "retries": []}
-    mirror = _scan(root, acc, in_retry=False)
-    atoms = acc["atoms"]
-    n_atoms = len(atoms)
-    smap = successor_map(mirror)
-
-    j_symbols = abt.n_symbols
+    units, retries = unit_successors(root)
+    leaves = abt.leaves
     cap = _state_cap(state_cap)
-    blocks_raw = []
-    widths = []
-    for atom in atoms:
-        if atom[0] == "leaf":
-            widths.append(1)
-            blocks_raw.append(None)
+    # Unit u starts at state offsets[u]. offsets[n] and offsets[n + 1] are
+    # the success and failure outputs, so unit targets index offsets directly.
+    offsets, first_leaf, products = [0], [0], []
+    for node, _, _ in units:
+        if isinstance(node, Leaf):
+            products.append(None)
+            offsets.append(offsets[-1] + 1)
         else:
-            specs = _child_specs_from_tree(atom[1], atom[2], abt)
-            built = _product_states(specs, atom[1].threshold, cap)
-            widths.append(len(built[0]))
-            blocks_raw.append(built)
-
-    offsets = []
-    pos = 0
-    for w in widths:
-        offsets.append(pos)
-        pos += w
-    n_states = pos + 2
-    o_s, o_f = pos, pos + 1
-    if any(b is not None for b in blocks_raw) and n_states > cap:
+            products.append(_product_states(node, first_leaf[-1], abt, cap))
+            offsets.append(offsets[-1] + len(products[-1][0]))
+        first_leaf.append(first_leaf[-1] + n_leaves(node))
+    o_s = offsets[-1]
+    o_f = o_s + 1
+    offsets.append(o_f)
+    n_states = o_s + 2
+    if any(products) and n_states > cap:
         raise StateCapError(
             f"product blow-up: {n_states} states exceed the cap of {cap}"
         )
 
-    def target(atom_idx):
-        if atom_idx == n_atoms:
-            return o_s
-        if atom_idx == n_atoms + 1:
-            return o_f
-        return offsets[atom_idx]
-
-    j_model = j_symbols
-    for built in blocks_raw:
-        if built is not None:
-            j_model = max(j_model, built[2].shape[1])
-
+    j_symbols = abt.n_symbols
+    j_model = max([j_symbols] + [p[2].shape[1] for p in products if p])
     a = np.zeros((n_states, n_states))
     b = np.zeros((n_states, j_model))
     edges = [None] * n_states
     labels = [None] * n_states
-    leaf_states = [None] * acc["next_leaf"]
+    leaf_states = [None] * len(leaves)
     blocks = []
-
-    for i, atom in enumerate(atoms):
-        st, ft = target(smap[i][0]), target(smap[i][1])
-        q = offsets[i]
-        if atom[0] == "leaf":
-            node, g = atom[1], atom[2]
+    for u, (node, s, f) in enumerate(units):
+        q, st, ft = offsets[u], offsets[s], offsets[f]
+        if isinstance(node, Leaf):
             ps = float(node.stats.ps)
             a[q, st] += ps
             a[q, ft] += 1.0 - ps
             b[q, :j_symbols] = node.stats.emission
             edges[q] = EdgeLabel(st, ft)
             labels[q] = node.name
-            leaf_states[g] = q
-        else:
-            statuses, trans, emit, n_core = blocks_raw[i]
-            for r, cells in enumerate(trans):
-                for col, prob in cells:
-                    if col == "S":
-                        a[q + r, st] += prob
-                    elif col == "F":
-                        a[q + r, ft] += prob
-                    else:
-                        a[q + r, q + col] += prob
-            b[q : q + len(statuses), : emit.shape[1]] = emit
-            for r, status in enumerate(statuses):
-                labels[q + r] = _status_label(status, abt)
-            blocks.append(
-                ParallelBlock(q, tuple(statuses), atom[1].threshold, st, ft, n_core)
-            )
+            leaf_states[first_leaf[u]] = q
+            continue
+        statuses, trans, emit = products[u]
+        exits = {"S": st, "F": ft}
+        for r, cells in enumerate(trans):
+            for col, prob in cells:
+                a[q + r, exits[col] if col in exits else q + col] += prob
+        b[q : q + len(statuses), : emit.shape[1]] = emit
+        for r, status in enumerate(statuses):
+            labels[q + r] = "(" + "|".join(
+                leaves[x].name if kind == "run" else x for kind, x in status
+            ) + ")"
+        blocks.append(ParallelBlock(q, tuple(statuses)))
 
     a[o_s, o_s] = 1.0
     a[o_f, o_f] = 1.0
@@ -249,147 +216,48 @@ def compile_abt(abt, *, state_cap=None):
     labels[o_f] = FAILURE_LABEL
     pi = np.zeros(n_states)
     pi[0] = 1.0
-
-    model = LabeledHMM(
+    return LabeledHMM(
         hmm=DiscreteHMM(pi, a, b),
         edges=tuple(edges),
         o_s=o_s,
         o_f=o_f,
         labels=tuple(labels),
         leaf_states=tuple(leaf_states),
+        retry_ranges=tuple((offsets[lo], offsets[hi]) for lo, hi in retries),
         blocks=tuple(blocks),
     )
-    for a_atom, b_atom in acc["retries"]:
-        start = offsets[a_atom]
-        stop = o_s if b_atom == n_atoms else offsets[b_atom]
-        model = apply_retry(model, start, stop)
-    return model
-
-
-def _scan(node, acc, in_retry):
-    """Collect compilation atoms in depth-first order and return a mirror
-    tree in which every parallel subtree is a single placeholder leaf, so
-    the plain successor map can route between atoms."""
-    if isinstance(node, Leaf):
-        acc["atoms"].append(("leaf", node, acc["next_leaf"]))
-        acc["next_leaf"] += 1
-        return node
-    if isinstance(node, (Sequence, Selector)):
-        kids = tuple(_scan(c, acc, in_retry) for c in node.children)
-        return type(node)(kids)
-    if isinstance(node, Retry):
-        if in_retry:
-            raise UnsupportedStructureError("nested retry ranges overlap")
-        start = len(acc["atoms"])
-        mirror = _scan(node.child, acc, in_retry=True)
-        acc["retries"].append((start, len(acc["atoms"])))
-        return mirror
-    if isinstance(node, Parallel):
-        for c in node.children:
-            _require_plain(c)
-        first = acc["next_leaf"]
-        acc["next_leaf"] += n_leaves(node)
-        acc["atoms"].append(("par", node, first))
-        return Leaf(f"#par{len(acc['atoms'])}", _PLACEHOLDER_STATS)
-    raise TypeError(f"not a tree node: {node!r}")
-
-
-_PLACEHOLDER_STATS = LeafStats(0.5, (1.0,))
-
-
-def _require_plain(node):
-    if isinstance(node, Leaf):
-        return
-    if isinstance(node, (Sequence, Selector)):
-        for c in node.children:
-            _require_plain(c)
-        return
-    raise UnsupportedStructureError(
-        f"parallel children must be plain subtrees, found {type(node).__name__.lower()}"
-    )
-
-
-def _status_label(status, abt):
-    names = [leaf.name for leaf in abt.leaves]
-    parts = []
-    for marker in status:
-        if marker[0] == "run":
-            parts.append(names[marker[1]])
-        else:
-            parts.append(marker[1])
-    return "(" + "|".join(parts) + ")"
 
 
 # ----------------------------------------------------------------------
 # parallel products
 
 
-class _ChildSpec:
-    """Everything the product builder needs to know about one child."""
-
-    def __init__(self, entry, succ, fail, ps, rows, done_rows, n_leaves):
-        self.entry = entry
-        self.succ = succ  # key -> status after the leaf succeeds
-        self.fail = fail
-        self.ps = ps
-        self.rows = rows  # key -> emission row
-        self.done_rows = done_rows  # outcome -> emission row
-        self.n_leaves = n_leaves
-
-    def step(self, key, outcome):
-        return self.succ[key] if outcome == SUCCESS else self.fail[key]
-
-    def emission(self, marker):
-        if marker[0] == "run":
-            return self.rows[marker[1]]
-        return self.done_rows[marker[1]]
-
-
-def _child_specs_from_tree(par_node, first_leaf, abt):
-    specs = []
-    g0 = first_leaf
-    for child in par_node.children:
-        local = successor_map(child)
-        width = n_leaves(child)
-        child_leaves = leaves_of(child)
-        succ, fail, ps, rows = {}, {}, {}, {}
-        for i in range(width):
-            key = g0 + i
-            succ[key] = _local_status(local[i][0], width, g0)
-            fail[key] = _local_status(local[i][1], width, g0)
-            ps[key] = float(child_leaves[i].stats.ps)
-            rows[key] = np.asarray(child_leaves[i].stats.emission)
-        done = {
-            SUCCESS: np.asarray(abt.out_success),
-            FAILURE: np.asarray(abt.out_failure),
-        }
-        specs.append(_ChildSpec(g0, succ, fail, ps, rows, done, width))
-        g0 += width
-    return specs
-
-
-def _local_status(t, width, g0):
-    if t == width:
-        return ("done", SUCCESS)
-    if t == width + 1:
-        return ("done", FAILURE)
-    return ("run", g0 + t)
-
-
-def _product_states(specs, threshold, cap):
-    """Enumerate the reachable product states of a parallel block.
+def _product_states(par, first, abt, cap):
+    """Enumerate the reachable product states of the parallel node par,
+    whose leaves are numbered from first on.
 
     Returns the ordered status tuples (entry first), the transition cells
     per state as (column, probability) pairs where the column is a local
-    state index or "S"/"F" for the two exits, the joint emission matrix,
-    and the nominal core size.
+    state index or "S"/"F" for the two exits, and the joint emission matrix.
     """
-    entry = tuple(("run", s.entry) for s in specs)
+    leaves = abt.leaves
+    ps = [float(leaf.stats.ps) for leaf in leaves]
+    moves = {}  # leaf index -> (status after success, status after failure)
+    entry = []
+    g0 = first
+    for child in par.children:
+        width = n_leaves(child)
+        done = {width: ("done", SUCCESS), width + 1: ("done", FAILURE)}
+        for i, targets in successor_map(child).items():
+            moves[g0 + i] = tuple(done.get(t, ("run", g0 + t)) for t in targets)
+        entry.append(("run", g0))
+        g0 += width
+    entry = tuple(entry)
     seen = {entry}
     frontier = [entry]
     while frontier:
         state = frontier.pop()
-        for nxt, _ in _expand(state, specs, threshold):
+        for nxt, _ in _expand(state, moves, ps, par.threshold):
             if nxt in ("S", "F") or nxt in seen:
                 continue
             if len(seen) >= cap:
@@ -403,21 +271,21 @@ def _product_states(specs, threshold, cap):
     trans = []
     for state in states:
         cells = {}
-        for nxt, prob in _expand(state, specs, threshold):
+        for nxt, prob in _expand(state, moves, ps, par.threshold):
             col = nxt if nxt in ("S", "F") else index[nxt]
             cells[col] = cells.get(col, 0.0) + prob
         trans.append(sorted(cells.items(), key=repr))
+    done_rows = {SUCCESS: abt.out_success, FAILURE: abt.out_failure}
     emit = []
     for state in states:
         row = np.ones(1)
-        for spec, marker in zip(specs, state):
-            row = np.kron(row, spec.emission(marker))
+        for kind, x in state:
+            row = np.kron(row, leaves[x].stats.emission if kind == "run" else done_rows[x])
         emit.append(row)
-    n_core = math.prod(s.n_leaves for s in specs)
-    return states, trans, np.asarray(emit), n_core
+    return states, trans, np.asarray(emit)
 
 
-def _expand(state, specs, threshold):
+def _expand(state, moves, ps, threshold):
     """All one-step moves out of a product state with their probabilities."""
     running = [i for i, m in enumerate(state) if m[0] == "run"]
     out = []
@@ -426,9 +294,9 @@ def _expand(state, specs, threshold):
         nxt = list(state)
         for i, oc in zip(running, outcomes):
             key = state[i][1]
-            p = specs[i].ps[key]
+            p = ps[key]
             prob *= p if oc == SUCCESS else 1.0 - p
-            nxt[i] = specs[i].step(key, oc)
+            nxt[i] = moves[key][0 if oc == SUCCESS else 1]
         if prob == 0.0:
             continue
         if all(m[0] == "done" for m in nxt):
@@ -437,62 +305,6 @@ def _expand(state, specs, threshold):
         else:
             out.append((tuple(nxt), prob))
     return out
-
-
-# ----------------------------------------------------------------------
-# retry
-
-
-def apply_retry(model, start, stop=None):
-    """Redirect the failure exits of the state range [start, stop) back to
-    its first state.
-
-    This is the repeat-until-success transform: whatever would have made
-    the subtree fail now restarts it instead, so the range's failure exit
-    becomes unreachable and back-edges appear at column start. Overlapping
-    ranges are rejected.
-    """
-    if stop is None:
-        stop = model.o_s
-    start, stop = int(start), int(stop)
-    if not (0 <= start < stop <= model.o_s):
-        raise ValueError(f"retry range [{start}, {stop}) out of bounds")
-    for lo, hi in model.retry_ranges:
-        if start < hi and lo < stop:
-            raise ValueError(
-                f"retry range [{start}, {stop}) overlaps [{lo}, {hi})"
-            )
-    for blk in model.blocks:
-        lo, hi = blk.first, blk.first + blk.n_states
-        inside = start <= lo and hi <= stop
-        outside = hi <= start or stop <= lo
-        if not (inside or outside):
-            raise ValueError("retry range splits a parallel block")
-
-    a = model.hmm.transmat.copy()
-    edges = list(model.edges)
-    blocks = list(model.blocks)
-    for i in range(start, stop):
-        e = edges[i]
-        if e is not None:
-            if not (start <= e.fail_target < stop):
-                a[i, start] += a[i, e.fail_target]
-                a[i, e.fail_target] = 0.0
-                edges[i] = replace(e, fail_target=start)
-    for bi, blk in enumerate(blocks):
-        if start <= blk.first and blk.first + blk.n_states <= stop:
-            if not (start <= blk.fail_target < stop):
-                for r in range(blk.first, blk.first + blk.n_states):
-                    a[r, start] += a[r, blk.fail_target]
-                    a[r, blk.fail_target] = 0.0
-                blocks[bi] = replace(blk, fail_target=start)
-    return replace(
-        model,
-        hmm=DiscreteHMM(model.hmm.startprob.copy(), a, model.hmm.emissionprob.copy()),
-        edges=tuple(edges),
-        retry_ranges=model.retry_ranges + ((start, stop),),
-        blocks=tuple(blocks),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -817,12 +629,18 @@ def load_model(path):
     edge labels; transition probabilities are read from the matrix alone."""
     hmm, labels, edge_strings = load_hmm(path)
     n = hmm.n_states
+    if n < 2:
+        raise ValueError(f"a labeled model needs its two output states, the file has {n} states")
     o_s, o_f = n - 2, n - 1
     if labels is None:
         labels = tuple(f"l{i}" for i in range(o_s)) + (SUCCESS_LABEL, FAILURE_LABEL)
     edges = []
     if edge_strings is None:
         raise ValueError("model file has no edge_labels block")
+    for q in (o_s, o_f):
+        row = hmm.transmat[q]
+        if edge_strings[q] is not None or row[q] != 1.0 or np.count_nonzero(row) != 1:
+            raise ValueError(f"output state {q} must be a unit self-loop with no edge label")
     for i, text in enumerate(edge_strings):
         if text is None:
             edges.append(None)

@@ -348,6 +348,12 @@ class SweepConfig:
     master_seed: int = DEFAULT_SEED
     bw_updates: str = "t"
 
+    def __post_init__(self):
+        if set(self.bw_updates) - set("ste"):
+            raise ValueError(
+                f"bw_updates must only contain 's', 't', 'e': {self.bw_updates!r}"
+            )
+
     @classmethod
     def from_file(cls, path):
         """Read a flat key=value config file; unknown keys are an error."""
@@ -382,10 +388,6 @@ class SweepConfig:
         if "master_seed" in values:
             kwargs["master_seed"] = int(values["master_seed"])
         if "bw_updates" in values:
-            if set(values["bw_updates"]) - set("ste"):
-                raise ValueError(
-                    f"bw_updates must only contain 's', 't', 'e': {values['bw_updates']!r}"
-                )
             kwargs["bw_updates"] = values["bw_updates"]
         return cls(**kwargs)
 

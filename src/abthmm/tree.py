@@ -206,32 +206,62 @@ def successor_map(root):
     """
     if isinstance(root, ABTDefinition):
         root = root.root
-    total = n_leaves(root)
-    out = {}
-    _walk_successors(root, 0, total, total + 1, out)
-    return out
-
-
-def _walk_successors(node, start, succ, fail, out):
-    if isinstance(node, Leaf):
-        out[start] = (succ, fail)
-        return start + 1
-    if isinstance(node, (Retry, Parallel)):
+    units, retries = unit_successors(root)
+    if retries or any(isinstance(node, Parallel) for node, _, _ in units):
         raise UnsupportedStructureError(
-            f"{type(node).__name__.lower()} nodes have no per-leaf successor map; "
-            "compile the tree instead"
+            "a parallel child or a successor map needs a plain sequence/selector"
+            " tree; found a retry or parallel node"
         )
+    return {i: (s, f) for i, (_, s, f) in enumerate(units)}
+
+
+def unit_successors(root):
+    """Walk the tree's control flow over units: a unit is a leaf or a whole
+    parallel node, numbered depth first.
+
+    Returns the units as (node, success target, failure target) triples,
+    where a target is a unit index, or n for overall success and n + 1 for
+    overall failure, and the unit range [start, stop) of each retry node.
+    A retry sends its child's failures back to the child's first unit.
+    Nested retries raise UnsupportedStructureError.
+    """
+    units, retries = [], []
+    total = _n_units(root)
+    _walk_units(root, 0, total, total + 1, units, retries, in_retry=False)
+    return units, retries
+
+
+def _n_units(node):
+    if isinstance(node, (Leaf, Parallel)):
+        return 1
+    if isinstance(node, Retry):
+        return _n_units(node.child)
+    if isinstance(node, _COMPOSITES):
+        return sum(_n_units(c) for c in node.children)
+    raise TypeError(f"not a tree node: {node!r}")
+
+
+def _walk_units(node, start, succ, fail, units, retries, in_retry):
+    if isinstance(node, (Leaf, Parallel)):
+        units.append((node, succ, fail))
+        return start + 1
+    if isinstance(node, Retry):
+        if in_retry:
+            raise UnsupportedStructureError("nested retry ranges overlap")
+        stop = _walk_units(node.child, start, succ, start, units, retries, True)
+        retries.append((start, stop))
+        return stop
     if not isinstance(node, _COMPOSITES):
         raise TypeError(f"not a tree node: {node!r}")
-    widths = [n_leaves(c) for c in node.children]
     pos = start
+    last = len(node.children) - 1
     for i, child in enumerate(node.children):
-        last = i == len(node.children) - 1
-        nxt = succ if last else pos + widths[i]
         if isinstance(node, Sequence):
-            pos = _walk_successors(child, pos, nxt if not last else succ, fail, out)
+            nxt = succ if i == last else pos + _n_units(child)
+            pos = _walk_units(child, pos, nxt, fail, units, retries, in_retry)
         else:
-            pos = _walk_successors(child, pos, succ, nxt if not last else fail, out)
+            nxt = fail if i == last else pos + _n_units(child)
+            pos = _walk_units(child, pos, succ, nxt, units, retries, in_retry)
     return pos
 
 

@@ -64,6 +64,39 @@ def random_canonical_tree(rng, l, j=8):
     return ABTDefinition(build(l, "both"), j, uniform_row(j), uniform_row(j))
 
 
+def random_control_tree(rng, l, j=2):
+    """A random tree over l leaves that mixes sequence and selector nodes,
+    retry nodes that never nest, and parallel nodes over plain children of
+    two or three subtrees. Leaf ps are drawn from (0.05, 0.95), now and then
+    exactly 0 or 1; emission rows are random. The tree is not canonical."""
+    names = itertools.count()
+
+    def split(n, k):
+        cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+        return [int(q) for q in np.diff([0, *cuts, n])]
+
+    def build(n, plain, in_retry):
+        wrap = not plain and not in_retry and rng.random() < 0.25
+        if n == 1:
+            u = rng.random()
+            if u < 0.1:
+                ps = 1.0 if u < 0.05 else 0.0
+            else:
+                ps = float(np.round(rng.uniform(0.05, 0.95), 3))
+            node = Leaf(f"n{next(names)}", LeafStats(ps, tuple(rng.dirichlet(np.ones(j)))))
+        elif not plain and n <= 6 and rng.random() < 0.3:
+            parts = split(n, int(rng.integers(2, min(n, 3) + 1)))
+            threshold = float(rng.choice([0.3, 0.5, 0.6, 1.0]))
+            node = Parallel(tuple(build(p, True, True) for p in parts), threshold)
+        else:
+            kind = Sequence if rng.random() < 0.5 else Selector
+            parts = split(n, int(rng.integers(2, min(n, 4) + 1)))
+            node = kind(tuple(build(p, plain, in_retry or wrap) for p in parts))
+        return Retry(node) if wrap else node
+
+    return ABTDefinition(build(l, False, False), j, uniform_row(j), uniform_row(j))
+
+
 def all_canonical_trees(l, j=8):
     """Every canonical tree over l leaves (large Schroeder many)."""
 
@@ -374,6 +407,64 @@ def brute_rollout(abt, n, seed, *, model=None):
         obs.append(draw_index(cdf[terminal], rng))
         runs.append(Run(tuple(states), tuple(obs), outcome))
     return Dataset.from_runs(runs)
+
+
+def brute_transitions(abt, model):
+    """The one-step transition law over model states, by the tree walker.
+
+    Each walker position is the reply prefix that leads to it; prefixes are
+    replayed on a fresh walk, breadth first from the root, and the first
+    prefix to reach a model state sets that state's row. Replies of
+    probability zero are not followed, so the result holds exactly the
+    states the tree can reach: {state: {next state: probability}}."""
+    leaf_ps = [float(leaf.stats.ps) for leaf in abt.leaves]
+    status_state = {}
+    for blk in model.blocks:
+        for r, status in enumerate(blk.statuses):
+            status_state[status] = blk.first + r
+
+    def replay(prefix):
+        """(state, [(reply, probability)]) at the end of a reply prefix."""
+        gen = execute(abt.root)
+        try:
+            event = gen.send(None)
+            for reply in prefix:
+                event = gen.send(reply)
+        except StopIteration as stop:
+            terminal = model.o_s if stop.value == SUCCESS else model.o_f
+            return terminal, []
+        if event[0] == "leaf":
+            p = leaf_ps[event[1]]
+            return model.leaf_states[event[1]], [(SUCCESS, p), (FAILURE, 1.0 - p)]
+        running = [m[1] for m in event[2] if m[0] == "run"]
+        moves = []
+        for outcomes in itertools.product((SUCCESS, FAILURE), repeat=len(running)):
+            prob = 1.0
+            for g, oc in zip(running, outcomes):
+                prob *= leaf_ps[g] if oc == SUCCESS else 1.0 - leaf_ps[g]
+            moves.append((list(outcomes), prob))
+        return status_state[event[2]], moves
+
+    law = {model.o_s: {model.o_s: 1.0}, model.o_f: {model.o_f: 1.0}}
+    frontier = [()]
+    seen = {replay(())[0]}
+    while frontier:
+        nxt_frontier = []
+        for prefix in frontier:
+            state, moves = replay(prefix)
+            if state in law:
+                continue
+            row = law[state] = {}
+            for reply, prob in moves:
+                if prob == 0.0:
+                    continue
+                nxt, _ = replay(prefix + (reply,))
+                row[nxt] = row.get(nxt, 0.0) + prob
+                if nxt not in seen:
+                    seen.add(nxt)
+                    nxt_frontier.append(prefix + (reply,))
+        frontier = nxt_frontier
+    return {q: law[q] for q in seen}
 
 
 def brute_estimate_ps(dataset, model):

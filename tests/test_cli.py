@@ -5,7 +5,7 @@ import pytest
 
 from abthmm import dsl
 from abthmm.cli import main
-from abthmm.compiler import EdgeLabel, apply_retry, compile_abt, load_model, save_model
+from abthmm.compiler import EdgeLabel, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
 from abthmm.tree import SUCCESS
 
@@ -36,9 +36,13 @@ def test_check_passes_a_plain_model(tmp_path, capsys):
     assert "VIOLATED" not in said
 
 
-def test_check_flags_retry_back_edges(tmp_path, capsys, pick_place_model):
+def test_check_flags_retry_back_edges(tmp_path, capsys):
+    source = (
+        "(ratio 1.0)\n(sequence (leaf a :ps 0.8 :emit (gauss))\n"
+        "  (retry (selector (leaf b :ps 0.6 :emit (gauss)) (leaf c :ps 0.7 :emit (gauss)))))"
+    )
     path = tmp_path / "retry.json"
-    save_model(apply_retry(pick_place_model, 1, 3), path)
+    save_model(compile_abt(dsl.parse(source)), path)
     assert main(["check", str(path)]) == 1
     assert "VIOLATED" in capsys.readouterr().out
 
@@ -254,3 +258,35 @@ def test_model_files_with_edge_labels_no_tree_makes_are_refused(tmp_path, capsys
     sure = model_file(one_leaf.replace("0.5 :emit", "1 :emit"), "sure", "S:1 F:2")
     model = load_model(sure)
     assert model.edges[0] == EdgeLabel(1, 2) and model.a[0, 2] == 0.0
+
+
+def test_model_files_whose_outputs_are_not_absorbing_are_refused(tmp_path, capsys):
+    good = tmp_path / "pick.json"
+    with open(PICK) as fh:
+        save_model(compile_abt(dsl.parse(fh.read())), good)
+
+    def edited(name, key, state, value):
+        doc = json.loads(good.read_text())
+        doc[key][state] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    bad = [
+        (edited("leaky", "a", 4, [0, 0, 0, 0, 0.5, 0.5]), 4),
+        (edited("labelled", "edge_labels", 5, "S:5 F:5"), 5),
+    ]
+    for path, state in bad:
+        with pytest.raises(ValueError, match=f"output state {state} "):
+            load_model(path)
+        for command in ("check", "decompile"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"output state {state} " in err
+
+    lone = tmp_path / "lone.json"
+    doc = json.loads(good.read_text())
+    doc.update(n_states=1, pi=[1.0], a=[[1.0]], b=doc["b"][4:5], labels=None, edge_labels=[None])
+    lone.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="two output states"):
+        load_model(lone)

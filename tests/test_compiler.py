@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from abthmm.compiler import (
     InconsistentLabelsError,
     StateCapError,
     StructureShape,
-    apply_retry,
     check_constraints,
     compile_abt,
     count_bts,
@@ -15,7 +17,7 @@ from abthmm.compiler import (
     load_model,
     save_model,
 )
-from abthmm.dsl import serialize
+from abthmm.dsl import parse, serialize
 from abthmm.simulate import rollout_dataset
 from abthmm.tree import (
     ABTDefinition,
@@ -29,9 +31,12 @@ from abthmm.tree import (
 )
 
 from conftest import (
+    REPO,
     all_canonical_trees,
+    brute_transitions,
     make_leaf,
     random_canonical_tree,
+    random_control_tree,
     schroder,
     uniform_row,
 )
@@ -264,42 +269,12 @@ def test_compile_retry_redirects_failure_exits():
     assert not rep.upper_diagonal
 
 
-def test_apply_retry_matches_compiled_retry():
-    plain = abt_of(Sequence((
-        plain_leaf("a", 0.8),
-        Selector((plain_leaf("b", 0.6), plain_leaf("c", 0.7))),
-        plain_leaf("d", 0.9),
-    )))
-    wrapped = abt_of(Sequence((
-        plain_leaf("a", 0.8),
-        Retry(Selector((plain_leaf("b", 0.6), plain_leaf("c", 0.7)))),
-        plain_leaf("d", 0.9),
-    )))
-    patched = apply_retry(compile_abt(plain), 1, 3)
-    target = compile_abt(wrapped)
-    assert np.array_equal(patched.a, target.a)
-    assert patched.edges == target.edges
-    assert patched.retry_ranges == target.retry_ranges
-
-
-def test_retry_whole_tree_defaults_stop():
-    abt = abt_of(Selector((plain_leaf("a", 0.3), plain_leaf("b", 0.4))))
-    m = apply_retry(compile_abt(abt), 0)
+def test_retry_whole_tree_restarts_the_tree():
+    abt = abt_of(Retry(Selector((plain_leaf("a", 0.3), plain_leaf("b", 0.4)))))
+    m = compile_abt(abt)
     assert m.retry_ranges == ((0, 2),)
     assert m.a[1, 0] == pytest.approx(0.6)  # b failure restarts the tree
     assert m.a[1, m.o_f] == 0.0
-
-
-def test_apply_retry_range_errors(pick_place_model):
-    with pytest.raises(ValueError):
-        apply_retry(pick_place_model, -1, 2)
-    with pytest.raises(ValueError):
-        apply_retry(pick_place_model, 2, 2)
-    with pytest.raises(ValueError):
-        apply_retry(pick_place_model, 0, 9)
-    once = apply_retry(pick_place_model, 1, 3)
-    with pytest.raises(ValueError):
-        apply_retry(once, 2, 4)
 
 
 def test_compile_rejects_nested_retry():
@@ -328,7 +303,6 @@ def test_compile_parallel_two_leaves_exact():
     assert m.n_states == 3
     blk = m.blocks[0]
     assert blk.statuses == ((("run", 0), ("run", 1)),)
-    assert blk.n_core == 1
     assert m.a[0, m.o_s] == pytest.approx(0.9 * 0.8)
     assert m.a[0, m.o_f] == pytest.approx(1 - 0.9 * 0.8)
     assert m.n_symbols == 8 * 8
@@ -363,10 +337,10 @@ def test_parallel_multi_leaf_children_product():
     abt = abt_of(Parallel((left, right), 1.0))
     m = compile_abt(abt)
     blk = m.blocks[0]
-    assert blk.n_core == 4  # nominal product of the child state counts
     assert blk.statuses[0] == (("run", 0), ("run", 2))
-    # reachable product states never exceed the nominal core size here
-    assert blk.n_states <= blk.n_core + 8
+    # reachable product states never exceed the nominal core size (2 x 2
+    # child leaves) plus the finished combinations
+    assert blk.n_states <= 4 + 8
     rollout_mass = m.a[blk.first].sum()
     assert rollout_mass == pytest.approx(1.0)
     report = check_constraints(m)  # block-shaped: upper triangular, not a chain
@@ -405,6 +379,58 @@ def test_state_cap_respected(monkeypatch):
     monkeypatch.setenv("ABTHMM_STATE_CAP", "16")
     with pytest.raises(StateCapError):
         compile_abt(abt)
+
+
+def test_compiled_retry_and_parallel_trees_match_the_tree_walker():
+    rng = np.random.default_rng(12)
+    with_retry = with_blocks = 0
+    for _ in range(200):
+        abt = random_control_tree(rng, int(rng.integers(1, 8)))
+        m = compile_abt(abt)
+        law = brute_transitions(abt, m)
+        reached, frontier = {0}, [0]
+        while frontier:
+            for r in np.flatnonzero(m.a[frontier.pop()]):
+                if int(r) not in reached:
+                    reached.add(int(r))
+                    frontier.append(int(r))
+        assert set(law) == reached
+        for q, row in law.items():
+            want = np.zeros(m.n_states)
+            for r, p in row.items():
+                want[r] += p
+            np.testing.assert_allclose(m.a[q], want, rtol=0, atol=1e-12)
+        with_retry += bool(m.retry_ranges)
+        with_blocks += bool(m.blocks)
+    assert with_retry >= 50 and with_blocks >= 50
+
+
+# Digests of the compiled shipped trees; a change to the compiler that moves
+# any of these must say why.
+PINNED_DIGESTS = {
+    "models/patrol.abt": "ffa2366b89a9275906acb5079adaede93fcddbc53e7b273f9d67b801a13bd6fc",
+    "models/pick_place.abt": "ecff4f957d1f7fbebbce4bb002ac7ddc28926342f142497150e3e6309b7459c4",
+    "perfbench/trees/parallel_retry.abt":
+        "0dea085c5ca4d86b096910346823c0df20b0eed223ce32bd21bfd69bd5bb8120",
+}
+
+
+def test_compiled_shipped_trees_are_pinned():
+    for name, want in PINNED_DIGESTS.items():
+        m = compile_abt(parse((REPO / name).read_text()))
+        h = hashlib.sha256()
+        h.update(m.a.tobytes())
+        h.update(m.b.tobytes())
+        meta = [
+            m.a.shape,
+            m.b.shape,
+            [None if e is None else (e.succ_target, e.fail_target) for e in m.edges],
+            m.labels,
+            m.retry_ranges,
+            [(blk.first, blk.statuses) for blk in m.blocks],
+        ]
+        h.update(json.dumps(meta, default=int).encode())
+        assert h.hexdigest() == want, name
 
 
 # ----------------------------------------------------------------------

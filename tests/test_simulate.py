@@ -539,6 +539,12 @@ def test_sweep_config_rejects_bad_files(tmp_path, body, fragment):
         SweepConfig.from_file(path)
 
 
+def test_sweep_config_rejects_unknown_bw_updates():
+    with pytest.raises(ValueError, match="bw_updates"):
+        SweepConfig(model="m.abt", bw_updates="x")
+    assert SweepConfig(model="m.abt", bw_updates="ste").bw_updates == "ste"
+
+
 # ----------------------------------------------------------------------
 # sweeps
 
