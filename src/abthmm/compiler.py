@@ -15,13 +15,14 @@ combination of child positions.
 """
 
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import DiscreteHMM, load_hmm, save_hmm
+from .hmm import DiscreteHMM
 from .tree import (
     ABTDefinition,
     FAILURE,
@@ -125,13 +126,6 @@ class LabeledHMM:
     @property
     def b(self):
         return self.hmm.emissionprob
-
-    def edge_label_strings(self):
-        """The file representation of edges: "S:<t> F:<t>" or None per state."""
-        out = []
-        for e in self.edges:
-            out.append(None if e is None else f"S:{e.succ_target} F:{e.fail_target}")
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +373,9 @@ def decompile(model):
     its two continuations is exited first (failure first means a sequence,
     success first a selector) and then split into children at boundaries
     found by recursive descent. Raises InconsistentLabelsError when the
-    labels cannot come from any tree, and UnsupportedStructureError for
-    models with retry back-edges or parallel blocks.
+    labels cannot come from any tree or the start vector is not one-hot on
+    state 0 (a tree starts at its first leaf), and UnsupportedStructureError
+    for models with retry back-edges or parallel blocks.
     """
     if model.retry_ranges or model.blocks:
         raise UnsupportedStructureError(
@@ -389,6 +384,8 @@ def decompile(model):
     total = model.o_s
     if total < 1:
         raise InconsistentLabelsError("model has no leaf states")
+    if model.pi[0] != 1.0 or np.count_nonzero(model.pi) != 1:
+        raise InconsistentLabelsError("pi must be one-hot on state 0, where every tree starts")
     for i in range(total):
         e = model.edges[i]
         if e is None:
@@ -611,7 +608,10 @@ def enumerate_structures(l):
 
 
 def save_model(model, path):
-    """Write a labeled model to a file; see hmm.save_hmm for the format.
+    """Write a labeled model as JSON with the fields n_states, n_symbols, pi,
+    a, b, labels (one name per state) and edge_labels ("S:<t> F:<t>" per
+    leaf state, null elsewhere). Key order and float text are canonical, so
+    equal models give byte-identical files.
 
     The format has no place for parallel block bookkeeping, so models with
     parallel blocks are refused with UnsupportedStructureError rather than
@@ -621,26 +621,60 @@ def save_model(model, path):
         raise UnsupportedStructureError(
             "models with parallel blocks cannot be written to a model file"
         )
-    save_hmm(model.hmm, path, labels=model.labels, edge_labels=model.edge_label_strings())
+    doc = {
+        "n_states": model.n_states,
+        "n_symbols": model.n_symbols,
+        "pi": model.pi.tolist(),
+        "a": model.a.tolist(),
+        "b": model.b.tolist(),
+        "labels": list(model.labels),
+        "edge_labels": [
+            None if e is None else f"S:{e.succ_target} F:{e.fail_target}"
+            for e in model.edges
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_model(path):
-    """Read a labeled model back. Retry back-edges survive through their
-    edge labels; transition probabilities are read from the matrix alone."""
-    hmm, labels, edge_strings = load_hmm(path)
+    """Read a model file back, refusing with ValueError a file whose fields
+    disagree with each other or whose output states or edge labels break
+    the rules compiled models keep.
+
+    Transition probabilities are read from the matrix alone. Retry ranges
+    are rebuilt from the back edges: a row failing to a state at or before
+    itself lies in the retry that starts at that state, and the range ends
+    one past the last such row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key in ("n_states", "n_symbols", "pi", "a", "b"):
+        if key not in doc:
+            raise ValueError(f"model file is missing field {key!r}")
+    hmm = DiscreteHMM(doc["pi"], doc["a"], doc["b"])
     n = hmm.n_states
+    if n != doc["n_states"] or hmm.n_symbols != doc["n_symbols"]:
+        raise ValueError("model file header does not match matrix shapes")
+    labels = doc.get("labels")
+    edge_strings = doc.get("edge_labels")
+    if labels is not None and len(labels) != n:
+        raise ValueError("labels length does not match n_states")
+    if edge_strings is None:
+        raise ValueError("model file has no edge_labels block")
+    if len(edge_strings) != n:
+        raise ValueError("edge_labels length does not match n_states")
     if n < 2:
         raise ValueError(f"a labeled model needs its two output states, the file has {n} states")
     o_s, o_f = n - 2, n - 1
     if labels is None:
         labels = tuple(f"l{i}" for i in range(o_s)) + (SUCCESS_LABEL, FAILURE_LABEL)
-    edges = []
-    if edge_strings is None:
-        raise ValueError("model file has no edge_labels block")
     for q in (o_s, o_f):
         row = hmm.transmat[q]
         if edge_strings[q] is not None or row[q] != 1.0 or np.count_nonzero(row) != 1:
             raise ValueError(f"output state {q} must be a unit self-loop with no edge label")
+    edges = []
+    retry_ends = {}  # first state of a retry -> one past its last state
     for i, text in enumerate(edge_strings):
         if text is None:
             edges.append(None)
@@ -657,28 +691,14 @@ def load_model(path):
             raise ValueError(
                 f"state {i} has transition mass outside its labeled targets {st}, {ft}")
         edges.append(EdgeLabel(st, ft))
-    retry = []
-    for i, e in enumerate(edges):
-        if e is not None and e.fail_target <= i:
-            retry.append((e.fail_target, i + 1))
-    retry_ranges = tuple(_merge_ranges(retry))
-    leaf_states = tuple(i for i in range(o_s) if edges[i] is not None)
+        if ft <= i:
+            retry_ends[ft] = i + 1
     return LabeledHMM(
         hmm=hmm,
         edges=tuple(edges),
         o_s=o_s,
         o_f=o_f,
         labels=tuple(labels),
-        leaf_states=leaf_states,
-        retry_ranges=retry_ranges,
+        leaf_states=tuple(i for i in range(o_s) if edges[i] is not None),
+        retry_ranges=tuple(sorted(retry_ends.items())),
     )
-
-
-def _merge_ranges(ranges):
-    merged = []
-    for lo, hi in sorted(ranges):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged

@@ -3,13 +3,10 @@
 The class follows the fit/score/decode conventions used by estimator
 libraries: hyperparameters live on the constructor, ``fit`` runs
 Baum-Welch in place and returns ``self``, ``score`` is the forward
-log-likelihood and ``decode``/``predict`` run Viterbi. Model files are
-JSON with fields n_states, n_symbols, pi, a, b, labels and edge_labels,
-written canonically so identical models produce identical bytes.
+log-likelihood and ``decode``/``predict`` run Viterbi.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -626,47 +623,3 @@ def _viterbi_batch(model, batch):
             out[:sizes[0]] = state
             paths[at] = out
     return logp, paths
-
-
-# ----------------------------------------------------------------------
-# model files
-
-
-def save_hmm(model, path, labels=None, edge_labels=None):
-    """Write a model file. Key order and float text are canonical, so equal
-    models give byte-identical files."""
-    doc = {
-        "n_states": model.n_states,
-        "n_symbols": model.n_symbols,
-        "pi": model.startprob.tolist(),
-        "a": model.transmat.tolist(),
-        "b": model.emissionprob.tolist(),
-        "labels": list(labels) if labels is not None else None,
-        "edge_labels": list(edge_labels) if edge_labels is not None else None,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def load_hmm(path):
-    """Read a model file back as (model, labels, edge_labels)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("n_states", "n_symbols", "pi", "a", "b"):
-        if key not in doc:
-            raise ValueError(f"model file is missing field {key!r}")
-    model = DiscreteHMM(doc["pi"], doc["a"], doc["b"])
-    if model.n_states != doc["n_states"] or model.n_symbols != doc["n_symbols"]:
-        raise ValueError("model file header does not match matrix shapes")
-    labels = doc.get("labels")
-    edge_labels = doc.get("edge_labels")
-    if labels is not None:
-        if len(labels) != model.n_states:
-            raise ValueError("labels length does not match n_states")
-        labels = tuple(labels)
-    if edge_labels is not None:
-        if len(edge_labels) != model.n_states:
-            raise ValueError("edge_labels length does not match n_states")
-        edge_labels = tuple(edge_labels)
-    return model, labels, edge_labels

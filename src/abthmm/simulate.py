@@ -25,12 +25,6 @@ from .validation import check_observations
 DEFAULT_N_SEQUENCES = 15_000
 DEFAULT_SEED = 12061
 
-METRIC_COLUMNS = (
-    "kind", "ratio", "perturbation", "n_states", "n_seqs", "seed",
-    "logp_per_seq", "mean_sed", "rms_error", "bw_iters", "final_logp",
-)
-
-
 @dataclass(frozen=True)
 class Run:
     states: tuple
@@ -367,36 +361,35 @@ class SweepConfig:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
                 values[key] = value
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values) - set(_CONFIG_PARSERS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
         if "model" not in values:
             raise ValueError("config needs a model=<path> line")
-        kwargs["model"] = values["model"]
-        if "ratios" in values:
-            kwargs["ratios"] = tuple(float(x) for x in values["ratios"].split(","))
-        if "perturbations" in values:
-            parts = []
-            for x in values["perturbations"].split(","):
-                x = x.strip()
-                parts.append("random" if x == "random" else float(x))
-            kwargs["perturbations"] = tuple(parts)
-        if "n_sequences" in values:
-            kwargs["n_sequences"] = int(values["n_sequences"])
-        if "master_seed" in values:
-            kwargs["master_seed"] = int(values["master_seed"])
-        if "bw_updates" in values:
-            kwargs["bw_updates"] = values["bw_updates"]
-        return cls(**kwargs)
+        return cls(**{key: _CONFIG_PARSERS[key](text) for key, text in values.items()})
+
+
+def _perturbation(text):
+    """A perturbation ratio, or "random" for the randomized baseline."""
+    text = text.strip()
+    return "random" if text == "random" else float(text)
+
+
+_CONFIG_PARSERS = {
+    "model": str,
+    "ratios": lambda text: tuple(float(x) for x in text.split(",")),
+    "perturbations": lambda text: tuple(_perturbation(x) for x in text.split(",")),
+    "n_sequences": int,
+    "master_seed": int,
+    "bw_updates": str,
+}
 
 
 @dataclass(frozen=True)
 class MetricRow:
     kind: str
     ratio: float
-    perturbation: object
+    perturbation: float | str
     n_states: int
     n_seqs: int
     seed: int
@@ -405,6 +398,11 @@ class MetricRow:
     rms_error: float = None
     bw_iters: int = None
     final_logp: float = None
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricRow))
+# Cell parsers by field type; an empty cell in an optional column reads as None.
+_CELL_PARSERS = {str: str, int: int, float: float, float | str: _perturbation}
 
 
 @dataclass(frozen=True)
@@ -548,22 +546,11 @@ def read_metrics(path):
         if tuple(reader.fieldnames or ()) != METRIC_COLUMNS:
             raise ValueError(f"unexpected metrics header in {path}")
         for rec in reader:
-            rows.append(MetricRow(
-                kind=rec["kind"],
-                ratio=float(rec["ratio"]),
-                perturbation=(
-                    "random" if rec["perturbation"] == "random"
-                    else float(rec["perturbation"])
-                ),
-                n_states=int(rec["n_states"]),
-                n_seqs=int(rec["n_seqs"]),
-                seed=int(rec["seed"]),
-                logp_per_seq=float(rec["logp_per_seq"]) if rec["logp_per_seq"] else None,
-                mean_sed=float(rec["mean_sed"]) if rec["mean_sed"] else None,
-                rms_error=float(rec["rms_error"]) if rec["rms_error"] else None,
-                bw_iters=int(rec["bw_iters"]) if rec["bw_iters"] else None,
-                final_logp=float(rec["final_logp"]) if rec["final_logp"] else None,
-            ))
+            rows.append(MetricRow(**{
+                f.name: _CELL_PARSERS[f.type](rec[f.name])
+                if rec[f.name] or f.default is not None else None
+                for f in fields(MetricRow)
+            }))
     return rows
 
 

@@ -290,3 +290,17 @@ def test_model_files_whose_outputs_are_not_absorbing_are_refused(tmp_path, capsy
     lone.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="two output states"):
         load_model(lone)
+
+
+def test_decompile_refuses_a_start_off_the_first_leaf(tmp_path, capsys):
+    path = tmp_path / "pick.json"
+    main(["compile", PICK, "-o", str(path)])
+    doc = json.loads(path.read_text())
+    doc["pi"] = [0, 1, 0, 0, 0, 0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # the file still loads, since a fit may move the start vector
+    assert load_model(path).pi.tolist() == doc["pi"]
+    assert main(["decompile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pi" in err

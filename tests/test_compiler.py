@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def plain_leaf(name, ps, j=8):
 # compiling plain trees
 
 
-def test_compile_small_exemplar_matrix(pick_place_model):
+def test_compile_small_exemplar_matrix(tmp_path, pick_place_model):
     m = pick_place_model
     assert m.n_states == 6
     assert (m.o_s, m.o_f) == (4, 5)
@@ -69,7 +70,10 @@ def test_compile_small_exemplar_matrix(pick_place_model):
     assert m.leaf_states == (0, 1, 2, 3)
     assert m.edges[2] == EdgeLabel(4, 3)
     assert m.edges[4] is None and m.edges[5] is None
-    assert m.edge_label_strings()[:3] == ["S:1 F:5", "S:2 F:5", "S:4 F:3"]
+    path = tmp_path / "pick_place.json"
+    save_model(m, path)
+    edge_labels = json.loads(path.read_text())["edge_labels"]
+    assert edge_labels == ["S:1 F:5", "S:2 F:5", "S:4 F:3", "S:4 F:5", None, None]
 
 
 def test_compile_starts_at_first_leaf_and_absorbs(patrol_model):
@@ -199,6 +203,16 @@ def test_realizable_structure_counts_match_tree_counts():
             except InconsistentLabelsError:
                 pass
         assert good == schroder(l)
+
+
+def test_decompile_needs_a_start_on_the_first_leaf(pick_place_model):
+    # A fit that updates the start vector may move it; such a model still
+    # scores and decodes, but no tree starts anywhere but its first leaf.
+    for pi in ([0, 1, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0]):
+        moved = replace(pick_place_model, hmm=pick_place_model.hmm.copy())
+        moved.hmm.startprob = np.asarray(pi, dtype=float)
+        with pytest.raises(InconsistentLabelsError, match="pi"):
+            decompile(moved)
 
 
 def test_decompile_needs_labels(pick_place_model):
@@ -437,30 +451,63 @@ def test_compiled_shipped_trees_are_pinned():
 # model files
 
 
+def _round_trip(model, path):
+    """Save, load and save again; both files must hold the same bytes."""
+    save_model(model, path)
+    first = path.read_bytes()
+    loaded = load_model(path)
+    save_model(loaded, path)
+    assert path.read_bytes() == first
+    return loaded
+
+
+def _assert_same_model(loaded, m):
+    assert np.array_equal(loaded.pi, m.pi)
+    assert np.array_equal(loaded.a, m.a)
+    assert np.array_equal(loaded.b, m.b)
+    assert loaded.edges == m.edges
+    assert loaded.labels == m.labels
+    assert loaded.leaf_states == m.leaf_states
+    assert loaded.retry_ranges == m.retry_ranges
+
+
 def test_save_load_model_round_trip(tmp_path, pick_place_model):
-    p1 = tmp_path / "m.json"
-    save_model(pick_place_model, p1)
-    loaded = load_model(p1)
-    assert np.array_equal(loaded.a, pick_place_model.a)
-    assert np.array_equal(loaded.b, pick_place_model.b)
-    assert loaded.edges == pick_place_model.edges
-    assert loaded.labels == pick_place_model.labels
-    p2 = tmp_path / "again.json"
-    save_model(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    _assert_same_model(_round_trip(pick_place_model, tmp_path / "m.json"), pick_place_model)
 
 
 def test_save_load_model_keeps_retry_ranges(tmp_path):
-    abt = abt_of(Sequence((
-        plain_leaf("a", 0.8),
-        Retry(Selector((plain_leaf("b", 0.6), plain_leaf("c", 0.7)))),
-    )))
-    m = compile_abt(abt)
-    path = tmp_path / "retry.json"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert loaded.retry_ranges == m.retry_ranges
-    assert loaded.edges == m.edges
+    # Adjacent retries touch at a state; the loaded ranges must not merge.
+    cases = {
+        "retry_inside": (Sequence((
+            plain_leaf("a", 0.8),
+            Retry(Selector((plain_leaf("b", 0.6), plain_leaf("c", 0.7)))),
+        )), ((1, 3),)),
+        "adjacent": (Sequence((
+            Retry(plain_leaf("a", 0.8)),
+            Retry(plain_leaf("b", 0.6)),
+        )), ((0, 1), (1, 2))),
+    }
+    for name, (root, ranges) in cases.items():
+        m = compile_abt(abt_of(root))
+        assert m.retry_ranges == ranges, name
+        _assert_same_model(_round_trip(m, tmp_path / f"{name}.json"), m)
+
+
+def test_save_load_model_round_trips_random_trees(tmp_path):
+    rng = np.random.default_rng(2013)
+    plain = with_retry = 0
+    while plain < 300:
+        abt = random_control_tree(rng, int(rng.integers(1, 9)))
+        m = compile_abt(abt)
+        path = tmp_path / f"tree{plain}.json"
+        if m.blocks:
+            with pytest.raises(UnsupportedStructureError, match="parallel blocks"):
+                save_model(m, path)
+            continue
+        _assert_same_model(_round_trip(m, path), m)
+        plain += 1
+        with_retry += bool(m.retry_ranges)
+    assert with_retry >= 50
 
 
 def test_save_model_refuses_parallel_blocks(tmp_path):
@@ -485,6 +532,11 @@ def test_fitted_model_decompiles_to_its_fitted_probabilities(tmp_path, pick_plac
 
 def test_load_model_rejects_corrupt_files(tmp_path):
     path = tmp_path / "x.json"
-    path.write_text("not json")
-    with pytest.raises(ValueError):
-        load_model(path)
+    non_square = (
+        '{"n_states": 2, "n_symbols": 2, "pi": [1, 0], "a": [[1, 0]], '
+        '"b": [[1, 0], [0, 1]], "labels": null, "edge_labels": null}'
+    )
+    for text in ("not json", "{}", non_square):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_model(path)

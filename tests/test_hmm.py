@@ -13,8 +13,6 @@ from abthmm.hmm import (
     _bucket,
     _pack,
     _sample_batch,
-    load_hmm,
-    save_hmm,
 )
 
 from conftest import (
@@ -495,35 +493,3 @@ def test_fit_recovers_emissions_of_separated_chain():
     )
     guess.fit(seqs)
     assert abs(guess.transmat[0, 0] - 0.7) < 0.05
-
-
-# ----------------------------------------------------------------------
-# persistence
-
-
-def test_save_load_round_trip(tmp_path):
-    m = tiny_model()
-    path = tmp_path / "m.json"
-    save_hmm(m, path, labels=("a", "b"), edge_labels=("S:1 F:0", None))
-    again, labels, edge_labels = load_hmm(path)
-    assert np.array_equal(again.startprob, m.startprob)
-    assert np.array_equal(again.transmat, m.transmat)
-    assert np.array_equal(again.emissionprob, m.emissionprob)
-    assert labels == ("a", "b")
-    assert edge_labels == ("S:1 F:0", None)
-    # a second save of the loaded model is byte-identical
-    path2 = tmp_path / "m2.json"
-    save_hmm(again, path2, labels=labels, edge_labels=edge_labels)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_rejects_bad_files(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text("{}")
-    with pytest.raises(ValueError):
-        load_hmm(p)
-    p.write_text('{"n_states": 2, "n_symbols": 2, "pi": [1, 0], '
-                 '"a": [[1, 0]], "b": [[1, 0], [0, 1]], '
-                 '"labels": null, "edge_labels": null}')
-    with pytest.raises(ValueError):
-        load_hmm(p)
