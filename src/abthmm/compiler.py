@@ -649,21 +649,25 @@ def load_model(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model file does not hold a JSON object")
     for key in ("n_states", "n_symbols", "pi", "a", "b"):
         if key not in doc:
             raise ValueError(f"model file is missing field {key!r}")
-    hmm = DiscreteHMM(doc["pi"], doc["a"], doc["b"])
+    try:
+        hmm = DiscreteHMM(doc["pi"], doc["a"], doc["b"])
+    except TypeError:
+        raise ValueError("model file fields 'pi', 'a' and 'b' must hold numbers") from None
     n = hmm.n_states
     if n != doc["n_states"] or hmm.n_symbols != doc["n_symbols"]:
         raise ValueError("model file header does not match matrix shapes")
     labels = doc.get("labels")
     edge_strings = doc.get("edge_labels")
-    if labels is not None and len(labels) != n:
-        raise ValueError("labels length does not match n_states")
     if edge_strings is None:
         raise ValueError("model file has no edge_labels block")
-    if len(edge_strings) != n:
-        raise ValueError("edge_labels length does not match n_states")
+    for key, value in (("labels", labels), ("edge_labels", edge_strings)):
+        if value is not None and (not isinstance(value, list) or len(value) != n):
+            raise ValueError(f"model file field {key!r} is not a list of {n} entries")
     if n < 2:
         raise ValueError(f"a labeled model needs its two output states, the file has {n} states")
     o_s, o_f = n - 2, n - 1

@@ -292,6 +292,31 @@ def test_model_files_whose_outputs_are_not_absorbing_are_refused(tmp_path, capsy
         load_model(lone)
 
 
+def test_model_files_of_the_wrong_json_shape_are_refused(tmp_path, capsys):
+    good = tmp_path / "pick.json"
+    main(["compile", PICK, "-o", str(good)])
+    capsys.readouterr()
+    doc = json.loads(good.read_text())
+    bad = [
+        ("3", "not hold a JSON object"),
+        ("[1, 2]", "not hold a JSON object"),
+        (json.dumps({**doc, "labels": 5}), "'labels'"),
+        (json.dumps({**doc, "labels": "abcdef"}), "'labels'"),
+        (json.dumps({**doc, "edge_labels": 5}), "'edge_labels'"),
+        (json.dumps({**doc, "edge_labels": {"0": "S:1 F:5"}}), "'edge_labels'"),
+        (json.dumps({**doc, "pi": {"0": 1}}), "'pi'"),
+    ]
+    path = tmp_path / "bad.json"
+    for text, message in bad:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+        for command in ("check", "decompile"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+
+
 def test_decompile_refuses_a_start_off_the_first_leaf(tmp_path, capsys):
     path = tmp_path / "pick.json"
     main(["compile", PICK, "-o", str(path)])

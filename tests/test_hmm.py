@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -267,13 +268,48 @@ def test_forward_and_expectation_are_unchanged_by_chunking(monkeypatch):
     model = DiscreteHMM(pi, a, b)
     seqs = chain_corpus(model, 25, 4, rng) + mixed_length_corpus(model, rng)
     batch = _bucket(_pack(seqs, model.n_symbols), rng.uniform(0.5, 2.0, size=len(seqs)))
-    want_total, want_counts = model._score_batch(batch), model._expectation(batch)
+    want_total, want_counts = model._score_batch(batch), model._expectation(model._chunks(batch))
     monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)  # one row per chunk
     assert model._score_batch(batch) == pytest.approx(want_total, rel=1e-12)
-    got_counts = model._expectation(batch)
+    got_counts = model._expectation(model._chunks(batch))
     assert got_counts[0] == pytest.approx(want_counts[0], rel=1e-12)
     for g, w in zip(got_counts[1:], want_counts[1:]):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+
+def test_kernels_stay_finite_under_a_subnormal_emission():
+    # Symbol 2 has probability about 1e-310 in both states, so each step
+    # showing it has a subnormal scale factor: its reciprocal overflows, and
+    # so does a weight above one divided by it. Scaling symbol 2's column
+    # to [1, 2] scales every path by tiny ** (its count of 2s), so the
+    # posterior counts are the scaled model's and the log-likelihood is
+    # its own plus that count times log(tiny).
+    tiny = 1e-310
+    pi, a = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]])
+    b = np.array([[0.6, 0.4, tiny], [0.25, 0.75, 2 * tiny]])
+    scaled = b.copy()
+    scaled[:, 2] = [1.0, 2.0]
+    seqs = [np.array([1, 2]), np.array([0, 2, 1]), np.array([2, 2, 0, 2])]
+    weights = [0.5, 3.0, 2.0]
+    model = DiscreteHMM(pi, a, b, updates="ste")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scores = [model.score(obs) for obs in seqs]
+        total = model.score_total(seqs, weights)
+        got = model._expectation(model._chunks(_bucket(_pack(seqs, 3), weights)))
+    # By hand for [1, 2]: the start emits 1 with mass 0.2 and 0.375; then
+    # 0.2 * 0.9 + 0.375 * 0.2 = 0.255 to state 0 (emits 2 with tiny) and
+    # 0.2 * 0.1 + 0.375 * 0.8 = 0.32 to state 1 (2 * tiny).
+    assert scores[0] == pytest.approx(math.log(0.255 + 2 * 0.32) + math.log(tiny), rel=1e-12)
+    shifts = [np.count_nonzero(obs == 2) * math.log(tiny) for obs in seqs]
+    for obs, shift, score in zip(seqs, shifts, scores):
+        assert score == pytest.approx(brute_forward(pi, a, scaled, obs) + shift, rel=1e-12)
+    want = brute_expectation(pi, a, scaled, seqs, weights)
+    want_total = want[0] + sum(w * shift for w, shift in zip(weights, shifts))
+    assert total == pytest.approx(want_total, rel=1e-12)
+    assert got[0] == pytest.approx(want_total, rel=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +428,8 @@ def test_expectation_matches_path_sums(seed, updates):
             for _ in range(int(rng.integers(1, 7)))]
     seqs += seqs[:int(rng.integers(0, len(seqs) + 1))]  # repeats merge into weights
     weights = rng.uniform(0.1, 3.0, size=len(seqs))
-    batch = _bucket(_pack(seqs, b.shape[1]), weights)
-    got = DiscreteHMM(pi, a, b, updates=updates)._expectation(batch)
+    model = DiscreteHMM(pi, a, b, updates=updates)
+    got = model._expectation(model._chunks(_bucket(_pack(seqs, b.shape[1]), weights)))
     want = brute_expectation(pi, a, b, seqs, weights)
     assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
     # a_num, a_den, pi_num, b_num, b_den: transition counts only with "t",
@@ -466,6 +502,26 @@ def test_fit_weights_match_repetition():
     assert np.allclose(rep.transmat, wtd.transmat, atol=1e-12)
     assert np.allclose(rep.emissionprob, wtd.emissionprob, atol=1e-12)
     assert np.allclose(rep.history_, wtd.history_, atol=1e-9)
+
+
+@pytest.mark.parametrize("updates", ["t", "ste"])
+def test_fit_is_unchanged_by_chunking(monkeypatch, updates):
+    # One row per chunk against one chunk: the chunks a fit plans once
+    # serve every iteration.
+    rng = np.random.default_rng(608)
+    truth = DiscreteHMM(*random_hmm_instance(rng)[:3])
+    seqs = chain_corpus(truth, 25, 4, rng) + mixed_length_corpus(truth, rng)
+    weights = rng.uniform(0.5, 2.0, size=len(seqs))
+    n, j = truth.n_states, truth.n_symbols
+    start = DiscreteHMM(np.full(n, 1 / n), (truth.transmat + 1 / n) / 2,
+                        (truth.emissionprob + 1 / j) / 2, updates=updates, max_iter=12, tol=1e-9)
+    want = start.copy().fit(seqs, weights)
+    monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 1)
+    got = start.copy().fit(seqs, weights)
+    assert (got.n_iter_, got.converged_) == (want.n_iter_, want.converged_)
+    np.testing.assert_allclose(got.history_, want.history_, rtol=1e-12)
+    for name in ("startprob", "transmat", "emissionprob"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15)
 
 
 def test_fit_single_state_model():
