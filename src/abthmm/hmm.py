@@ -6,6 +6,7 @@ Baum-Welch in place and returns ``self``, ``score`` is the forward
 log-likelihood and ``decode``/``predict`` run Viterbi.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -164,9 +165,7 @@ class DiscreteHMM:
         stops right after emitting once in an absorbing state. When
         ``absorbing`` is None the states with a unit self-loop are used.
         """
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        states, obs, _ = _sample_batch(self, 1, rng, absorbing, max_steps)
-        return states, obs
+        return _sample_batch(self, 1, np.random.default_rng(rng), absorbing, max_steps)[:2]
 
     # ------------------------------------------------------------------
     # fitting
@@ -255,9 +254,8 @@ def _normalized(num, den, old):
     return num
 
 
-# Largest block of steps whose uniforms _sample_batch draws at once (two
-# a step). Its scratch memory, about n_states + 3 numbers a step, is
-# bounded by this whatever the number of runs.
+# Largest block of steps whose uniforms _sample_batch draws at once (two a
+# step): it bounds the sampler's scratch memory whatever the number of runs.
 _SAMPLE_BLOCK_STEPS = 1024
 
 
@@ -266,69 +264,73 @@ def _sample_batch(model, n, rng, absorbing, max_steps=10_000):
 
     A run starts from startprob, emits in every visited state and stops
     right after emitting once in a state of ``absorbing`` (None: the states
-    with a unit self-loop). A step reads two uniforms: one picks the state
-    (from startprob at the start of a run, else from the previous state's
-    row), the next one the symbol. Uniforms are drawn in blocks that double
-    from 32 steps up to _SAMPLE_BLOCK_STEPS; the unused rest of the last
-    block is handed back, so ``rng`` ends where the walks would leave it.
+    with a unit self-loop). A step's even uniform picks its state by one
+    ``bisect_right`` in the previous state's cumulative row of transmat
+    (startprob's before a run), made a list on first visit; its odd uniform
+    picks the symbol from the state's cumulative emission row after the walk.
 
-    Returns the states and the symbols of all runs back to back, as flat
-    int64 arrays, and the offset at which each run ends.
+    Uniforms are drawn in blocks that double from 32 steps up to
+    _SAMPLE_BLOCK_STEPS. After each block the run ends in it are found and
+    the walk is cut after the n-th; the last run's walk stops at its end. A
+    run of max_steps states, none absorbing, raises RuntimeError with ``rng``
+    left after the block. Else the unused rest of the last block is handed
+    back, so ``rng`` ends where the walks would leave it. Returns all runs'
+    states and symbols back to back, as flat int64 arrays, and each run's end offset.
     """
+    n_states = model.n_states
     if absorbing is None:
-        absorbing = {i for i in range(model.n_states) if model.transmat[i, i] == 1.0}
-    else:
-        absorbing = {int(i) for i in absorbing}
+        absorbing = np.flatnonzero(model.transmat.diagonal() == 1.0).tolist()
+    absorbing = {int(i) for i in absorbing}.intersection(range(n_states))
     if not absorbing:
         raise ValueError("model has no absorbing states; pass them explicitly")
-    start_cdf = np.cumsum(model.startprob)
-    trans_cdf = np.cumsum(model.transmat, axis=1)
-    emit_cdf = np.cumsum(model.emissionprob, axis=1)
-    states, marks, ends = [], [], []
-    run_len, steps = 0, 16
-    while len(ends) < n:
+    stops_at = np.array([q in absorbing for q in range(n_states)])
+    # rows[q]: the row a step after state q searches; rows[n_states] starts the first run.
+    # A cumulative row ends in +inf, so float shortfall in the last cell picks the last index.
+    start = model.startprob[:-1].cumsum().tolist() + [np.inf]
+    rows = [start if q in absorbing else None for q in range(n_states)] + [start]
+    walks, marks = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    state, run_len, found, steps = n_states, 0, 0, 16
+    while found < n:
+        # In the last run a miss on an absorbing row ends the walk; if the block starts
+        # on the previous run's end, the run starts from rows[n_states].
+        if found == n - 1:
+            for q in absorbing:
+                rows[q] = None
+            state = n_states if state in absorbing else state
         steps = min(2 * steps, _SAMPLE_BLOCK_STEPS)
         saved = rng.bit_generator.state
         u = rng.random(2 * steps)
-        picks = u[0::2]
-        first = _lookup(start_cdf, picks).tolist()
-        nxt = [None] * model.n_states  # a state's row of lookups, made on its first visit
-        for k in range(steps):
-            if run_len:
-                row = nxt[state]
-                if row is None:
-                    row = nxt[state] = _lookup(trans_cdf[state], picks).tolist()
-                state = row[k]
-            else:
-                state = first[k]
-            states.append(state)
-            run_len += 1
-            if state in absorbing:
-                ends.append(len(states))
-                run_len = 0
-                if len(ends) == n:
+        walk = []
+        for p in u[0::2].tolist():
+            row = rows[state]
+            if row is None:
+                if state in absorbing:
                     break
-            elif run_len == max_steps:
-                raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
-        used = k + 1
-        marks.append(u[1:2 * used:2])
+                row = rows[state] = model.transmat[state, :-1].cumsum().tolist() + [np.inf]
+            state = bisect.bisect_right(row, p)
+            walk.append(state)
+        walk = np.fromiter(walk, np.int64, len(walk))
+        stops = np.flatnonzero(stops_at[walk])[:n - found]
+        used = int(stops[-1]) + 1 if found + len(stops) == n else steps
+        # Each gap between ends (and from the last to used) is a run's non-absorbing visits + 1.
+        if run_len + used >= max_steps and np.diff(stops, prepend=-1 - run_len,
+                                                   append=used).max() > max_steps:
+            raise RuntimeError(f"no absorbing state reached within {max_steps} steps")
+        run_len = used - 1 - int(stops[-1]) if len(stops) else run_len + used
+        walks.append(walk[:used])
+        marks.append(u[1:2 * used:2].copy())  # a copy, so that u is freed
+        found += len(stops)
         if used < steps:
             rng.bit_generator.state = saved
             rng.random(2 * used)
-    states = np.asarray(states, dtype=np.int64)
-    marks = np.concatenate(marks) if marks else np.empty(0)
+    states, marks = np.concatenate(walks), np.concatenate(marks)
     obs = np.empty_like(states)
-    for q in set(states.tolist()):
+    for q in np.flatnonzero(np.bincount(states, minlength=n_states)).tolist():
         at = states == q
-        obs[at] = _lookup(emit_cdf[q], marks[at])
-    return states, obs, np.asarray(ends, dtype=np.int64)
-
-
-def _lookup(cdf, u):
-    """Indices of the uniforms ``u`` in a cumulative row; clamped to the
-    last index so float shortfall in the last cell cannot return an
-    out-of-range index."""
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+        cdf = model.emissionprob[q].cumsum()
+        cdf[-1] = np.inf
+        obs[at] = cdf.searchsorted(marks[at], side="right")
+    return states, obs, np.flatnonzero(stops_at[states]) + 1
 
 
 def _emissions(model, obs):

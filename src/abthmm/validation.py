@@ -16,9 +16,9 @@ def check_probability_vector(p, name="p", atol=ATOL):
         raise ValueError(f"{name} must be one-dimensional, got shape {p.shape}")
     if p.size == 0:
         raise ValueError(f"{name} is empty")
-    if np.any(p < 0):
-        raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > atol:
+    if not np.all(p >= 0):
+        raise ValueError(f"{name} has negative or NaN entries")
+    if not abs(p.sum() - 1.0) <= atol:
         raise ValueError(f"{name} sums to {p.sum()!r}, expected 1")
     return p
 
@@ -27,14 +27,12 @@ def check_stochastic_matrix(m, name="matrix", atol=ATOL):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
-    if np.any(m < 0):
-        raise ValueError(f"{name} has negative entries")
+    if not np.all(m >= 0):
+        raise ValueError(f"{name} has negative or NaN entries")
     sums = m.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > atol)[0]
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
     if bad.size:
-        raise ValueError(
-            f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1"
-        )
+        raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
     return m
 
 

@@ -15,7 +15,7 @@ def test_bench_kernels_prints_every_kernel_time(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["repeat"] == 1 and set(doc["inputs"]) == {"simulate_fit", "patrol"}
     for entry in doc["inputs"].values():
-        assert entry["rows"] >= 1 and entry["positions"] >= entry["rows"]
+        assert entry["runs"] >= entry["rows"] >= 1 and entry["positions"] >= entry["rows"]
         assert entry["chunks"] >= 1
-        for kernel in ("forward_s", "backward_s", "expectation_s"):
+        for kernel in ("sample_s", "forward_s", "backward_s", "expectation_s"):
             assert entry[kernel] > 0

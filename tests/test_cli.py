@@ -292,6 +292,24 @@ def test_model_files_whose_outputs_are_not_absorbing_are_refused(tmp_path, capsy
         load_model(lone)
 
 
+def test_model_files_holding_nan_are_refused(tmp_path, capsys):
+    good = tmp_path / "pick.json"
+    main(["compile", PICK, "-o", str(good)])
+    capsys.readouterr()
+    path = tmp_path / "nan.json"
+    # JSON null reads as NaN; such a model must not load or pass a check.
+    for row_of in (lambda d: d["pi"], lambda d: d["a"][1], lambda d: d["b"][2]):
+        bad = json.loads(good.read_text())
+        row_of(bad)[0] = None
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="negative or NaN entries"):
+            load_model(path)
+        for command in ("check", "decompile"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "NaN" in err
+
+
 def test_model_files_of_the_wrong_json_shape_are_refused(tmp_path, capsys):
     good = tmp_path / "pick.json"
     main(["compile", PICK, "-o", str(good)])

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from unittest import mock
 
@@ -15,6 +16,7 @@ from abthmm.hmm import (
     _pack,
     _sample_batch,
 )
+from abthmm.validation import check_probability_vector, check_stochastic_matrix
 
 from conftest import (
     brute_bucket,
@@ -52,6 +54,41 @@ def test_rejects_malformed_parameters():
         DiscreteHMM([1, 0], [[1, 0], [0, 1]], [[1, 0]])
     with pytest.raises(ValueError):
         tiny_model(updates="xyz")
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan],
+                                 [0.5, np.nan, 0.5]])
+def test_probability_vector_refuses_nan(bad):
+    with pytest.raises(ValueError, match="startprob has negative or NaN entries"):
+        check_probability_vector(bad, "startprob")
+
+
+@pytest.mark.parametrize("bad", [
+    [[np.nan, 1.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.nan, np.nan]],
+    [[0.5, 0.5], [0.5, np.nan]],
+])
+def test_stochastic_matrix_refuses_nan(bad):
+    with pytest.raises(ValueError, match="transmat has negative or NaN entries"):
+        check_stochastic_matrix(bad, "transmat")
+
+
+def test_validators_refuse_infinite_entries():
+    with pytest.raises(ValueError, match="sums to .*inf"):
+        check_probability_vector([np.inf, 0.0])
+    with pytest.raises(ValueError, match="row 1 sums to .*inf"):
+        check_stochastic_matrix([[1.0, 0.0], [0.0, np.inf]])
+
+
+def test_model_refuses_nan_parameters():
+    pi, a, b = [1.0, 0.0], [[0.4, 0.6], [0.0, 1.0]], [[0.9, 0.1], [0.2, 0.8]]
+    for name, args in [
+        ("startprob", ([np.nan, 0.0], a, b)),
+        ("transmat", (pi, [[0.4, np.nan], [0.0, 1.0]], b)),
+        ("emissionprob", (pi, a, [[0.9, 0.1], [np.nan, 0.8]])),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} has negative or NaN entries"):
+            DiscreteHMM(*args)
 
 
 def test_copy_keeps_hyperparameters_and_owns_its_arrays():
@@ -345,7 +382,7 @@ def test_sample_matches_transition_frequencies():
     assert (emits == np.diag(emits.diagonal())).all()
 
 
-@pytest.mark.parametrize("block", [hmm_module._SAMPLE_BLOCK_STEPS, 1])
+@pytest.mark.parametrize("block", [hmm_module._SAMPLE_BLOCK_STEPS, 1, 3])
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -379,6 +416,69 @@ def test_sample_batch_reads_the_stream_like_the_step_by_step_walk(
         assert np.array_equal(s_states, w_states) and np.array_equal(s_obs, w_obs)
     # unused draws of the last block are handed back to the generator
     assert batch.random() == wrapped.random() == walk.random()
+
+
+class ConstantUniforms:
+    """Stands in for a Generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+        self.bit_generator = types.SimpleNamespace(state=None)
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def test_sample_batch_gives_float_shortfall_to_the_last_index():
+    # Every row sums to 1 - 5e-10, within the validators' tolerance, and the
+    # last cell of the start row and of state 1's row has probability zero.
+    short = 0.5 - 5e-10
+    model = DiscreteHMM([0.5, short, 0.0], [[0.0, 0.0, 1.0], [0.5, short, 0.0], [0.0, 0.0, 1.0]],
+                        [[0.5, short], [0.5, short], [0.5, short]])
+    end = np.cumsum(model.startprob)[-1]
+    assert end < 1.0
+    for u in (end, np.nextafter(end, 1.0), np.nextafter(1.0, 0.0)):
+        # the start draw lands on state 2 (absorbing), its symbol on 1
+        states, obs, ends = _sample_batch(model, 2, ConstantUniforms(u), None)
+        assert states.tolist() == [2, 2] and obs.tolist() == [1, 1] and ends.tolist() == [1, 2]
+        want_states, want_obs = brute_sample(model, ConstantUniforms(u))
+        assert want_states.tolist() == [2] and want_obs.tolist() == [1]
+    # From state 1 a shortfall draw goes to state 2, the last index.
+    model.startprob = np.array([0.0, 1.0, 0.0])
+    states, obs, _ = _sample_batch(model, 1, ConstantUniforms(np.nextafter(1.0, 0.0)), None)
+    assert states.tolist() == [1, 2] and obs.tolist() == [1, 1]
+
+
+def chain(length):
+    """A model that walks 0, 1, ..., length - 1 and absorbs in the last state."""
+    a = np.eye(length, k=1)
+    a[-1, -1] = 1.0
+    return DiscreteHMM(np.eye(length)[0], a, np.full((length, 2), 0.5))
+
+
+@pytest.mark.parametrize("block", [hmm_module._SAMPLE_BLOCK_STEPS, 3])
+@pytest.mark.parametrize("length", [1, 3, 4, 32, 33, 100])
+def test_sample_batch_cap_admits_a_run_of_exactly_max_steps(block, length):
+    model = chain(length)
+    with mock.patch.object(hmm_module, "_SAMPLE_BLOCK_STEPS", block):
+        rng = np.random.default_rng(5)
+        states, _, ends = _sample_batch(model, 3, rng, None, max_steps=length)
+        assert states.tolist() == list(range(length)) * 3
+        assert ends.tolist() == [length, 2 * length, 3 * length]
+        if length > 1:
+            rng = np.random.default_rng(5)
+            with pytest.raises(RuntimeError, match=f"within {length - 1} steps"):
+                _sample_batch(model, 3, rng, None, max_steps=length - 1)
+            # the generator is left after the block holding the step that broke the cap
+            drawn, size = 0, 16
+            while drawn < length - 1:
+                size = min(2 * size, block)
+                drawn += size
+            want = np.random.default_rng(5)
+            want.random(2 * drawn)
+            assert rng.random() == want.random()
+            with pytest.raises(RuntimeError, match=f"within {length - 1} steps"):
+                model.sample(rng, max_steps=length - 1)
 
 
 def test_sample_caps_runaway_chains():

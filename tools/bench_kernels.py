@@ -1,8 +1,8 @@
-"""Fastest-of-N times of the Baum-Welch kernels on fixed inputs.
+"""Fastest-of-N times of the sampler and the Baum-Welch kernels on fixed inputs.
 
-Times ``hmm._forward_batch``, ``hmm._backward_batch`` and
-``DiscreteHMM._expectation`` (``updates="t"``) on two bucketed batches and
-prints one JSON document:
+Times ``hmm._sample_batch``, ``hmm._forward_batch``,
+``hmm._backward_batch`` and ``DiscreteHMM._expectation``
+(``updates="t"``) on two inputs and prints one JSON document:
 
 - ``simulate_fit``: the batch ``fit`` runs on in the ``simulate`` benchmark
   workload, 1 500 runs of ``perfbench/trees/parallel_retry.abt`` from seed
@@ -11,6 +11,10 @@ prints one JSON document:
   perturbation 0): 15 000 runs of ``models/patrol.abt`` under its synthetic
   emissions at ratio 0.25, master seed 12061, duplicates merged, under the
   reference model.
+
+``sample_s`` times drawing the input's runs again from its model, with the
+same absorbing states and visit cap as ``rollout_dataset``, each call on
+its own generator seeded with the same seed beforehand.
 
 The forward and backward passes are timed over the batch's chunks, with the
 emissions gathered beforehand (the backward pass overwrites them, so it
@@ -37,6 +41,7 @@ import numpy as np
 
 import abthmm
 from abthmm import hmm
+from abthmm.tree import VISIT_CAP
 
 SEED = 12061
 
@@ -64,22 +69,24 @@ def fastest(fn, repeat, setup=None):
 
 
 def inputs(scale):
-    """(name, model, batch) for each fixed input."""
+    """(name, labeled model, bucketed batch, run count) for each fixed input."""
     with open(ROOT / "perfbench" / "trees" / "parallel_retry.abt", encoding="utf-8") as fh:
         abt = abthmm.parse(fh.read())
     data = abthmm.rollout_dataset(abt, max(2, round(1500 * scale)), SEED)
-    model = abthmm.compile_abt(abt).hmm.copy()
-    yield "simulate_fit", model, hmm._bucket(hmm._pack(data.observations(), model.n_symbols))
+    model = abthmm.compile_abt(abt)
+    batch = hmm._bucket(hmm._pack(data.observations(), model.n_symbols))
+    yield "simulate_fit", model, batch, len(data)
 
     cfg = abthmm.SweepConfig(model=str(ROOT / "models" / "patrol.abt"), ratios=(0.25,),
                              perturbations=(0.0,), n_sequences=max(2, round(15_000 * scale)),
                              master_seed=SEED)
     cell = next(abthmm.sweep_cells(cfg))
-    model = cell.start.hmm.copy()
-    yield "patrol", model, hmm._bucket(hmm._pack(cell.dataset.observations(), model.n_symbols))
+    batch = hmm._bucket(hmm._pack(cell.dataset.observations(), cell.start.n_symbols))
+    yield "patrol", cell.start, batch, len(cell.dataset)
 
 
-def time_kernels(model, batch, repeat):
+def time_kernels(labeled, batch, runs, repeat):
+    model = labeled.hmm.copy()
     model.updates = "t"
     subs = model._chunks(batch)
     emis = [hmm._emissions(model, sub.obs) for sub in subs]
@@ -98,12 +105,19 @@ def time_kernels(model, batch, repeat):
         for sub, w, s in zip(subs, work, scales):
             hmm._backward_batch(model, sub, w, s)
 
+    rngs = iter([np.random.default_rng(SEED) for _ in range(repeat)])  # a fresh one a call
+
+    def sample():
+        hmm._sample_batch(model, runs, next(rngs), (labeled.o_s, labeled.o_f), VISIT_CAP + 1)
+
     return {
+        "runs": runs,
         "rows": len(batch.lengths),
         "positions": len(batch.obs),
         "steps": len(batch.sizes),
         "states": model.n_states,
         "chunks": len(subs),
+        "sample_s": fastest(sample, repeat),
         "forward_s": fastest(forward, repeat),
         "backward_s": fastest(backward, repeat, fresh),
         "expectation_s": fastest(lambda: model._expectation(subs), repeat),
@@ -115,8 +129,9 @@ def main(argv=None):
     doc = {
         "command": "python3 tools/bench_kernels.py " + " ".join(sys.argv[1:] if argv is None
                                                                 else argv),
-        "method": "fastest of --repeat calls, time.perf_counter; forward_s and backward_s sum "
-                  "the batch's chunks with the emissions gathered beforehand",
+        "method": "fastest of --repeat calls, time.perf_counter; sample_s draws the input's "
+                  "runs on a freshly seeded generator; forward_s and backward_s sum the "
+                  "batch's chunks with the emissions gathered beforehand",
         "machine": platform.machine(),
         "processor": platform.processor(),
         "python": platform.python_version(),
@@ -124,8 +139,8 @@ def main(argv=None):
         "repeat": args.repeat,
         "scale": args.scale,
         "seed": SEED,
-        "inputs": {name: time_kernels(model, batch, args.repeat)
-                   for name, model, batch in inputs(args.scale)},
+        "inputs": {name: time_kernels(model, batch, runs, args.repeat)
+                   for name, model, batch, runs in inputs(args.scale)},
     }
     print(json.dumps(doc, indent=1))
     return 0
