@@ -6,7 +6,9 @@ and one for overall failure. Each leaf state carries exactly two
 outgoing transitions, taken with probability ps and 1 - ps, and each
 transition remembers which leaf outcome it encodes. That labeling is
 what makes the mapping invertible: decompile reads the tree structure
-back out of the jump targets alone.
+back out of the jump targets alone, splitting each leaf range greedily,
+and refuses labels that the compiler's own successor walk does not give
+the rebuilt tree, naming the first state that differs.
 
 Retry decorators redirect the failure exits of their subtree back to
 its first state, which breaks the upper-diagonal shape on purpose.
@@ -370,12 +372,15 @@ def decompile(model):
     """Reconstruct the canonical tree a labeled model was compiled from.
 
     Reads only the jump targets. Each leaf range is oriented by which of
-    its two continuations is exited first (failure first means a sequence,
-    success first a selector) and then split into children at boundaries
-    found by recursive descent. Raises InconsistentLabelsError when the
-    labels cannot come from any tree or the start vector is not one-hot on
-    state 0 (a tree starts at its first leaf), and UnsupportedStructureError
-    for models with retry back-edges or parallel blocks.
+    its exits is reached first (failure first means a sequence, success
+    first a selector) and split greedily: a child ends at the first state e
+    where every row from its start on targets at most e or the exit its
+    siblings share. The rebuilt tree's successor map must equal the labels.
+    Raises InconsistentLabelsError when the labels come from no tree (it
+    names the first state that differs) or the start vector is not one-hot
+    on state 0 (a tree starts at its first leaf), and
+    UnsupportedStructureError for models with retry back-edges or parallel
+    blocks.
     """
     if model.retry_ranges or model.blocks:
         raise UnsupportedStructureError(
@@ -386,15 +391,20 @@ def decompile(model):
         raise InconsistentLabelsError("model has no leaf states")
     if model.pi[0] != 1.0 or np.count_nonzero(model.pi) != 1:
         raise InconsistentLabelsError("pi must be one-hot on state 0, where every tree starts")
+    targets = []
     for i in range(total):
         e = model.edges[i]
         if e is None:
             raise InconsistentLabelsError(f"state {i} has no edge labels")
-        if e.succ_target == e.fail_target:
+        targets.append((e.succ_target, e.fail_target))
+    root = _split(model, targets, 0, total, model.o_s, model.o_f)
+    for i, (s, f) in successor_map(root).items():
+        if targets[i] != (s, f):
+            st, ft = targets[i]
             raise InconsistentLabelsError(
-                f"state {i}: both outcomes share a target"
+                f"state {i}: labels S:{st} F:{ft} come from no tree;"
+                f" the only candidate tree has S:{s} F:{f}"
             )
-    root = _parse_range(model, 0, total, model.o_s, model.o_f)
     b = model.hmm.emissionprob
     return ABTDefinition(
         root,
@@ -404,96 +414,50 @@ def decompile(model):
     )
 
 
-def _leaf_of(model, i):
-    ps = float(model.hmm.transmat[i, model.edges[i].succ_target])
-    name = model.labels[i] if model.labels and model.labels[i] else f"l{i}"
-    return Leaf(name, LeafStats(ps, tuple(model.hmm.emissionprob[i])))
-
-
-def _parse_range(model, a, b, s, f, forbid=None):
+def _split(model, targets, a, b, s, f):
     """Rebuild the node covering leaf states [a, b) whose success exit is s
-    and failure exit is f.  forbid blocks a root kind that would repeat the
-    parent kind, which compilation never produces on canonical trees."""
+    and failure exit is f.  The split is exact on labels from a tree: a
+    subtree has a row reaching each of its exits, and none of the exits
+    inside a child is the shared one."""
     if b - a == 1:
-        e = model.edges[a]
-        if (e.succ_target, e.fail_target) != (s, f):
-            raise InconsistentLabelsError(
-                f"state {a}: targets ({e.succ_target}, {e.fail_target})"
-                f" do not close the context ({s}, {f})"
-            )
-        return _leaf_of(model, a)
-    kind = _root_kind(model, a, b, s, f)
-    if kind is forbid:
-        raise InconsistentLabelsError(
-            f"states {a}..{b - 1}: nested {kind.__name__.lower()} is not canonical"
-        )
-    return kind(tuple(_parse_children(model, a, b, s, f, kind)))
+        ps = float(model.hmm.transmat[a, targets[a][0]])
+        name = model.labels[a] if model.labels and model.labels[a] else f"l{a}"
+        return Leaf(name, LeafStats(ps, tuple(model.hmm.emissionprob[a])))
+    kind = _root_kind(targets, a, b, s, f)
+    shared = f if kind is Sequence else s
+    bounds = [a]
+    while bounds[-1] < b:
+        far = 0
+        for e in range(bounds[-1] + 1, b + 1):
+            far = max([far] + [t for t in targets[e - 1] if t != shared])
+            if far <= e:
+                break
+        # A range that does not split comes from no tree: cut off its first
+        # leaf, so that the successor check names the state that differs.
+        bounds.append(a + 1 if bounds == [a] and e == b else e)
+    children = []
+    for c, e in zip(bounds, bounds[1:]):
+        if kind is Sequence:
+            children.append(_split(model, targets, c, e, e if e < b else s, f))
+        else:
+            children.append(_split(model, targets, c, e, s, e if e < b else f))
+    return kind(tuple(children))
 
 
-def _root_kind(model, a, b, s, f):
+def _root_kind(targets, a, b, s, f):
     """Decide whether leaf states [a, b) hang under a sequence or a selector.
 
     Every child of a sequence can fail the whole range, but only the last
     child can finish it, so the first row exiting to f sits left of the
-    first row exiting to s.  A selector mirrors the argument.
+    first row exiting to s.  A selector mirrors the argument.  Labels that
+    do not decide it get a sequence and fail the successor check.
     """
-    hit_s = hit_f = b
-    for g in range(b - 1, a - 1, -1):
-        e = model.edges[g]
-        if s in (e.succ_target, e.fail_target):
-            hit_s = g
-        if f in (e.succ_target, e.fail_target):
-            hit_f = g
-    if hit_s == b:
-        raise InconsistentLabelsError(
-            f"states {a}..{b - 1}: no exit to the success continuation {s}"
-        )
-    if hit_f == b:
-        raise InconsistentLabelsError(
-            f"states {a}..{b - 1}: no exit to the failure continuation {f}"
-        )
-    if hit_f < hit_s:
-        return Sequence
-    if hit_s < hit_f:
-        return Selector
-    raise InconsistentLabelsError(
-        f"states {a}..{b - 1}: cannot orient the split at state {hit_s}"
-    )
-
-
-def _parse_children(model, a, b, s, f, kind):
-    """Split [a, b) into the children of a `kind` node, backtracking over
-    candidate boundaries: a sequence child keeps the range failure exit and
-    succeeds into the next boundary, a selector child the other way round."""
-    dead = set()
-
-    def attempt(c, first):
-        if c in dead:
-            raise InconsistentLabelsError(f"state {c}: no boundary fits")
-        errors = []
-        stop = b if first else b + 1
-        for e in range(c + 1, stop):
-            if kind is Sequence:
-                ctx = (e if e < b else s, f)
-            else:
-                ctx = (s, e if e < b else f)
-            try:
-                child = _parse_range(model, c, e, ctx[0], ctx[1], forbid=kind)
-            except InconsistentLabelsError as err:
-                errors.append(err)
-                continue
-            if e == b:
-                return [child]
-            try:
-                return [child] + attempt(e, False)
-            except InconsistentLabelsError as err:
-                errors.append(err)
-        dead.add(c)
-        raise errors[-1] if errors else InconsistentLabelsError(
-            f"state {c}: no boundary fits"
-        )
-
-    return attempt(a, True)
+    for g in range(a, b):
+        if f in targets[g]:
+            return Sequence
+        if s in targets[g]:
+            return Selector
+    return Sequence
 
 
 # ----------------------------------------------------------------------
@@ -525,15 +489,6 @@ class StructureShape:
     def n_leaves(self):
         return len(self.rows)
 
-    def edge_targets(self):
-        out = []
-        for i, (orient, far) in enumerate(self.rows):
-            if orient == SUCCESS:
-                out.append((i + 1, far))
-            else:
-                out.append((far, i + 1))
-        return out
-
     def to_labeled(self, ps=0.5):
         """Materialize the shape as a labeled model with every success
         probability set to ps and synthetic emission rows."""
@@ -544,7 +499,8 @@ class StructureShape:
         rows = synth_emissions(SyntheticEmissionSpec(n, 1.0))
         a = np.zeros((n, n))
         edges = []
-        for i, (st, ft) in enumerate(self.edge_targets()):
+        for i, (orient, far) in enumerate(self.rows):
+            st, ft = (i + 1, far) if orient == SUCCESS else (far, i + 1)
             a[i, st] += ps
             a[i, ft] += 1.0 - ps
             edges.append(EdgeLabel(st, ft))

@@ -19,7 +19,7 @@ def check_probability_vector(p, name="p", atol=ATOL):
     if not np.all(p >= 0):
         raise ValueError(f"{name} has negative or NaN entries")
     if not abs(p.sum() - 1.0) <= atol:
-        raise ValueError(f"{name} sums to {p.sum()!r}, expected 1")
+        raise ValueError(f"{name} sums to {float(p.sum())}, expected 1")
     return p
 
 
@@ -32,7 +32,7 @@ def check_stochastic_matrix(m, name="matrix", atol=ATOL):
     sums = m.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
     if bad.size:
-        raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
+        raise ValueError(f"{name} row {bad[0]} sums to {float(sums[bad[0]])}, expected 1")
     return m
 
 

@@ -8,6 +8,7 @@ import pytest
 from abthmm.compiler import (
     EdgeLabel,
     InconsistentLabelsError,
+    LabeledHMM,
     StateCapError,
     StructureShape,
     check_constraints,
@@ -19,6 +20,7 @@ from abthmm.compiler import (
     save_model,
 )
 from abthmm.dsl import parse, serialize
+from abthmm.hmm import DiscreteHMM
 from abthmm.simulate import rollout_dataset
 from abthmm.tree import (
     ABTDefinition,
@@ -29,6 +31,8 @@ from abthmm.tree import (
     Selector,
     Sequence,
     UnsupportedStructureError,
+    canonicalize,
+    successor_map,
 )
 
 from conftest import (
@@ -159,8 +163,9 @@ def test_check_constraints_uses_edges_for_labeled_models():
 
 def test_decompile_round_trips_random_trees():
     rng = np.random.default_rng(77)
-    for _ in range(200):
-        abt = random_canonical_tree(rng, int(rng.integers(1, 13)))
+    sizes = [int(rng.integers(1, 13)) for _ in range(200)] + [100, 200, 300]
+    for l in sizes:
+        abt = random_canonical_tree(rng, l)
         model = compile_abt(abt)
         back = decompile(model)
         assert back.root == abt.root
@@ -194,7 +199,7 @@ def test_decompile_rejects_label_flips():
 
 
 def test_realizable_structure_counts_match_tree_counts():
-    for l in (1, 2, 3, 4):
+    for l in (1, 2, 3, 4, 5):
         good = 0
         for shape in enumerate_structures(l):
             try:
@@ -203,6 +208,40 @@ def test_realizable_structure_counts_match_tree_counts():
             except InconsistentLabelsError:
                 pass
         assert good == schroder(l)
+
+
+def test_decompile_random_labelings_give_their_tree_or_refuse():
+    # Any targets at all: decompile either rebuilds a canonical tree whose
+    # successor map is exactly the labels, or refuses the labels and names
+    # a state.
+    rng = np.random.default_rng(2024)
+    accepted = refused = 0
+    for _ in range(3000):
+        l = int(rng.integers(1, 8))
+        targets = [tuple(int(t) for t in rng.integers(0, l + 2, size=2)) for _ in range(l)]
+        a = np.zeros((l + 2, l + 2))
+        for i, (st, ft) in enumerate(targets):
+            a[i, st] += 0.5
+            a[i, ft] += 0.5
+        a[l, l] = a[l + 1, l + 1] = 1.0
+        pi = np.eye(l + 2)[0]
+        model = LabeledHMM(
+            hmm=DiscreteHMM(pi, a, np.full((l + 2, 2), 0.5)),
+            edges=tuple(EdgeLabel(st, ft) for st, ft in targets) + (None, None),
+            o_s=l,
+            o_f=l + 1,
+            labels=tuple(f"l{i}" for i in range(l)) + ("success", "failure"),
+        )
+        try:
+            root = decompile(model).root
+        except InconsistentLabelsError as err:
+            assert str(err).startswith("state ")
+            refused += 1
+            continue
+        accepted += 1
+        assert canonicalize(root) == root
+        assert successor_map(root) == dict(enumerate(targets))
+    assert accepted > 0 and refused > 0
 
 
 def test_decompile_needs_a_start_on_the_first_leaf(pick_place_model):

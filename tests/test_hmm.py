@@ -1,4 +1,5 @@
 import math
+import re
 import types
 import warnings
 from unittest import mock
@@ -74,10 +75,17 @@ def test_stochastic_matrix_refuses_nan(bad):
 
 
 def test_validators_refuse_infinite_entries():
-    with pytest.raises(ValueError, match="sums to .*inf"):
+    with pytest.raises(ValueError, match="sums to inf, expected 1"):
         check_probability_vector([np.inf, 0.0])
-    with pytest.raises(ValueError, match="row 1 sums to .*inf"):
+    with pytest.raises(ValueError, match="row 1 sums to inf, expected 1"):
         check_stochastic_matrix([[1.0, 0.0], [0.0, np.inf]])
+
+
+def test_validators_print_finite_bad_sums_as_plain_floats():
+    with pytest.raises(ValueError, match=re.escape("p sums to 1.1, expected 1")):
+        check_probability_vector([0.5, 0.6])
+    with pytest.raises(ValueError, match=re.escape("row 0 sums to 1.1, expected 1")):
+        check_stochastic_matrix([[0.5, 0.6], [0.0, 1.0]])
 
 
 def test_model_refuses_nan_parameters():
