@@ -22,9 +22,20 @@ omitted the two rows continue the synthetic progression at indices l and
 l + 1. When "(alphabet J)" is omitted, J is taken from the first table row,
 or from the synthetic family's default size if every row is synthetic.
 
+Every number must be finite; INT is a whole number, at least 1 for the
+alphabet and 0 for a gauss index. The parser checks only this grammar and
+these numbers, and a ParseError for them gives the line and column. The
+tree's own rules (ps in [0, 1], threshold in (0, 1], arity, unique leaf
+names, rows of J non-negative entries summing to 1 within
+validation.ATOL) belong to tree.validate_abt, whose error names the node
+path, e.g. "root/sequence[0]: ps=1.5 outside [0, 1]".
+
 >>> parse("(leaf a :ps 1.0 :emit (table 1.0))").n_leaves
 1
 """
+
+import math
+import re
 
 from . import divergence
 from .tree import (
@@ -35,7 +46,6 @@ from .tree import (
     Retry,
     Selector,
     Sequence,
-    leaves_of,
     validate_abt,
 )
 
@@ -47,36 +57,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_KINDS = ("sequence", "selector", "retry", "parallel", "leaf")
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    """(text, line, col) per token; comments and whitespace dropped."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        word = m.group()
+        if word == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append((text[i:j], line, col))
-            col += j - i
-            i = j
+            line_start = m.end()
+        elif word[0] != ";":
+            tokens.append((word, line, m.start() - line_start + 1))
     return tokens
 
 
@@ -100,174 +93,131 @@ class _Tokens:
         return tok
 
 
-def _number(toks, what):
-    tok = toks.pop()
+def _number(toks, what, least=None):
+    """Read one finite number; with ``least``, an integer of at least that."""
+    word, line, col = toks.pop()
     try:
-        return float(tok[0]), tok
+        value = float(word)
     except ValueError:
-        raise ParseError(f"expected a number for {what}, got {tok[0]!r}", tok[1], tok[2])
+        raise ParseError(f"expected a number for {what}, got {word!r}", line, col)
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {word!r}", line, col)
+    if least is None:
+        return value
+    if value != int(value) or value < least:
+        raise ParseError(f"{what} must be an integer >= {least}, got {word!r}", line, col)
+    return int(value)
 
 
 def _parse_dist(toks, allow_index):
-    open_tok = toks.pop("(")
+    """A distribution as ("table", entries) or ("gauss", index or None)."""
+    toks.pop("(")
     head = toks.pop()
     if head[0] == "table":
         values = []
         while toks.peek() is not None and toks.peek()[0] != ")":
-            v, _ = _number(toks, "table entry")
-            values.append(v)
+            values.append(_number(toks, "table entry"))
         toks.pop(")")
         if not values:
             raise ParseError("empty table", head[1], head[2])
         return ("table", tuple(values))
-    if head[0] == "gauss":
-        idx = None
-        nxt = toks.peek()
-        if nxt is not None and nxt[0] != ")":
-            if not allow_index:
-                raise ParseError(
-                    "leaf (gauss) takes no index, the leaf's own is used",
-                    nxt[1], nxt[2],
-                )
-            v, tok = _number(toks, "gauss index")
-            idx = int(v)
-            if idx != v or idx < 0:
-                raise ParseError("gauss index must be a non-negative integer", tok[1], tok[2])
-        elif allow_index:
-            raise ParseError("outputs (gauss idx) needs an explicit row index", head[1], head[2])
-        toks.pop(")")
-        return ("gauss", idx)
-    raise ParseError(f"expected table or gauss, got {head[0]!r}", head[1], head[2])
+    if head[0] != "gauss":
+        raise ParseError(f"expected table or gauss, got {head[0]!r}", head[1], head[2])
+    idx = None
+    nxt = toks.peek()
+    if nxt is not None and nxt[0] != ")":
+        if not allow_index:
+            raise ParseError(
+                "leaf (gauss) takes no index, the leaf's own is used", nxt[1], nxt[2]
+            )
+        idx = _number(toks, "gauss index", least=0)
+    elif allow_index:
+        raise ParseError("outputs (gauss idx) needs an explicit row index", head[1], head[2])
+    toks.pop(")")
+    return ("gauss", idx)
 
 
-def _parse_node(toks):
+def _parse_node(toks, leaves):
+    """Read one node. Each leaf is appended to ``leaves`` as (leaf, ps, dist),
+    depth first, and gets its stats once the header is known."""
     toks.pop("(")
-    head = toks.pop()
-    kind = head[0]
-    if kind not in _KINDS:
-        raise ParseError(f"unknown node kind {kind!r}", head[1], head[2])
+    kind, line, col = toks.pop()
     if kind == "leaf":
-        name_tok = toks.pop()
-        name = name_tok[0]
+        name, line, col = toks.pop()
         if name in "()" or name.startswith(":"):
-            raise ParseError("leaf needs a name", name_tok[1], name_tok[2])
+            raise ParseError("leaf needs a name", line, col)
         toks.pop(":ps")
-        ps, ps_tok = _number(toks, ":ps")
-        if not (0.0 <= ps <= 1.0):
-            raise ParseError(f"ps={ps} outside [0, 1]", ps_tok[1], ps_tok[2])
+        ps = _number(toks, ":ps")
         toks.pop(":emit")
         dist = _parse_dist(toks, allow_index=False)
         toks.pop(")")
-        return ("leaf", name, ps, dist, head)
+        leaf = Leaf(name, None)
+        leaves.append((leaf, ps, dist))
+        return leaf
+    if kind == "retry":
+        child = _parse_node(toks, leaves)
+        toks.pop(")")
+        return Retry(child)
     if kind == "parallel":
         toks.pop(":threshold")
-        threshold, th_tok = _number(toks, ":threshold")
-        if not (0.0 < threshold <= 1.0):
-            raise ParseError(
-                f"threshold {threshold} outside (0, 1]", th_tok[1], th_tok[2]
-            )
-        children = []
-        while toks.peek() is not None and toks.peek()[0] == "(":
-            children.append(_parse_node(toks))
-        toks.pop(")")
-        if len(children) < 2:
-            raise ParseError("parallel needs at least two children", head[1], head[2])
-        return ("parallel", threshold, children, head)
-    if kind == "retry":
-        child = _parse_node(toks)
-        toks.pop(")")
-        return ("retry", child, head)
+        threshold = _number(toks, ":threshold")
+    elif kind not in ("sequence", "selector"):
+        raise ParseError(f"unknown node kind {kind!r}", line, col)
     children = []
     while toks.peek() is not None and toks.peek()[0] == "(":
-        children.append(_parse_node(toks))
+        children.append(_parse_node(toks, leaves))
     toks.pop(")")
-    if not children:
-        raise ParseError(f"empty {kind}", head[1], head[2])
-    return (kind, children, head)
-
-
-def _collect_raw_leaves(raw, out):
-    if raw[0] == "leaf":
-        out.append(raw)
-    elif raw[0] == "retry":
-        _collect_raw_leaves(raw[1], out)
-    elif raw[0] == "parallel":
-        for c in raw[2]:
-            _collect_raw_leaves(c, out)
-    else:
-        for c in raw[1]:
-            _collect_raw_leaves(c, out)
+    if kind == "parallel":
+        return Parallel(tuple(children), threshold)
+    return (Sequence if kind == "sequence" else Selector)(tuple(children))
 
 
 def parse(text, default_ratio=1.0):
-    """Parse DSL text into an ABTDefinition. Raises ParseError."""
+    """Parse DSL text into an ABTDefinition.
+
+    Raises ParseError: a grammar or number error names its line and column,
+    a tree that breaks one of validate_abt's rules names the node path.
+    """
     toks = _Tokens(_tokenize(text))
-    alphabet = None
-    outputs = None
-    ratio = None
-    root_raw = None
+    alphabet = outputs = ratio = root = None
+    leaves = []
     while toks.peek() is not None:
         save = toks.pos
-        open_tok = toks.pop("(")
+        toks.pop("(")
         head = toks.peek()
         if head is None:
             raise ParseError("unexpected end of input")
-        word = head[0]
-        if word == "alphabet":
+        if head[0] == "alphabet":
             toks.pop()
-            v, tok = _number(toks, "alphabet size")
-            if int(v) != v or v < 1:
-                raise ParseError("alphabet size must be a positive integer", tok[1], tok[2])
-            alphabet = int(v)
-            toks.pop(")")
-        elif word == "outputs":
+            alphabet = _number(toks, "alphabet size", least=1)
+        elif head[0] == "outputs":
             toks.pop()
             outputs = (_parse_dist(toks, allow_index=True), _parse_dist(toks, allow_index=True))
-            toks.pop(")")
-        elif word == "ratio":
+        elif head[0] == "ratio":
             toks.pop()
-            ratio, _ = _number(toks, "ratio")
-            toks.pop(")")
+            ratio = _number(toks, "ratio")
         else:
             toks.pos = save
-            if root_raw is not None:
+            if root is not None:
                 raise ParseError("more than one root node", head[1], head[2])
-            root_raw = _parse_node(toks)
-    if root_raw is None:
+            root = _parse_node(toks, leaves)
+            continue
+        toks.pop(")")
+    if root is None:
         raise ParseError("no tree in input")
     if ratio is None:
         ratio = default_ratio
-
-    raw_leaves = []
-    _collect_raw_leaves(root_raw, raw_leaves)
-    total = len(raw_leaves)
-    names = set()
-    for raw in raw_leaves:
-        name, head = raw[1], raw[4]
-        if name in names:
-            raise ParseError(f"duplicate leaf name {name!r}", head[1], head[2])
-        names.add(name)
-
-    n_symbols = alphabet
-    if n_symbols is None:
-        for raw in raw_leaves:
-            if raw[3][0] == "table":
-                n_symbols = len(raw[3][1])
-                break
-    if n_symbols is None and outputs is not None:
-        for dist in outputs:
-            if dist[0] == "table":
-                n_symbols = len(dist[1])
-                break
+    total = len(leaves)
     n_states = total + 2
+    if outputs is None:
+        outputs = (("gauss", total), ("gauss", total + 1))
+    dists = [dist for _, _, dist in leaves] + list(outputs)
+    n_symbols = alphabet or next((len(d[1]) for d in dists if d[0] == "table"), None)
     if n_symbols is None:
         n_symbols = divergence.default_n_symbols(n_states, ratio)
 
-    needs_synth = any(raw[3][0] == "gauss" for raw in raw_leaves)
-    needs_synth = needs_synth or outputs is None
-    needs_synth = needs_synth or any(d[0] == "gauss" for d in outputs or ())
     synth = None
-    if needs_synth:
+    if any(d[0] == "gauss" for d in dists):
         spec = divergence.SyntheticEmissionSpec(
             n_states=n_states, ratio=ratio, n_symbols=n_symbols
         )
@@ -278,43 +228,19 @@ def parse(text, default_ratio=1.0):
 
     def resolve(dist, default_idx):
         if dist[0] == "table":
-            row = dist[1]
-            if len(row) != n_symbols:
-                raise ParseError(
-                    f"table has {len(row)} entries, alphabet is {n_symbols}"
-                )
-            if abs(sum(row) - 1.0) > 1e-6:
-                raise ParseError(f"table sums to {sum(row)!r}, expected 1")
-            if any(x < 0 for x in row):
-                raise ParseError("table has negative entries")
-            return row
-        idx = dist[1] if dist[1] is not None else default_idx
+            return dist[1]
+        idx = default_idx if dist[1] is None else dist[1]
         if idx >= n_states:
             raise ParseError(f"gauss index {idx} out of range for {n_states} rows")
-        return tuple(synth[idx])
+        return synth[idx].tolist()
 
-    counter = iter(range(total))
-
-    def build(raw):
-        if raw[0] == "leaf":
-            idx = next(counter)
-            row = resolve(raw[3], idx)
-            return Leaf(raw[1], LeafStats(raw[2], row))
-        if raw[0] == "retry":
-            return Retry(build(raw[1]))
-        if raw[0] == "parallel":
-            return Parallel(tuple(build(c) for c in raw[2]), raw[1])
-        kind = Sequence if raw[0] == "sequence" else Selector
-        return kind(tuple(build(c) for c in raw[1]))
-
-    root = build(root_raw)
-    if outputs is not None:
-        out_s = resolve(outputs[0], total)
-        out_f = resolve(outputs[1], total + 1)
-    else:
-        out_s = tuple(synth[total])
-        out_f = tuple(synth[total + 1])
-    abt = ABTDefinition(root, n_symbols, out_s, out_f)
+    for i, (leaf, ps, dist) in enumerate(leaves):
+        # The leaf is still private to this call, so it is filled in place
+        # rather than rebuilt together with every node above it.
+        object.__setattr__(leaf, "stats", LeafStats(ps, resolve(dist, i)))
+    abt = ABTDefinition(
+        root, n_symbols, resolve(outputs[0], total), resolve(outputs[1], total + 1)
+    )
     report = validate_abt(abt)
     if not report.ok:
         path, message = report.violations[0]

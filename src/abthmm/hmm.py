@@ -13,7 +13,12 @@ import math
 
 import numpy as np
 
-from .validation import check_observations, check_probability_vector, check_stochastic_matrix
+from .validation import (
+    check_observations,
+    check_probability_vector,
+    check_stochastic_matrix,
+    check_updates,
+)
 
 
 class ImpossibleSequenceError(ValueError):
@@ -65,11 +70,9 @@ class DiscreteHMM:
             raise ValueError(
                 f"emissionprob has {self.emissionprob.shape[0]} rows for {n} states"
             )
-        if set(updates) - set("ste"):
-            raise ValueError(f"updates must only contain 's', 't', 'e': {updates!r}")
         self.max_iter = int(max_iter)
         self.tol = float(tol)
-        self.updates = updates
+        self.updates = check_updates(updates)
 
     @property
     def n_states(self):
@@ -181,6 +184,7 @@ class DiscreteHMM:
         return self._fit_batch(_bucket(_pack(sequences, self.n_symbols), weights))
 
     def _fit_batch(self, batch):
+        check_updates(self.updates)
         if not batch.weights.sum() > 0:
             raise ValueError("no sequences to fit")
         chunks = self._chunks(batch)  # planned once for every iteration

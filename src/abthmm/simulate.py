@@ -20,7 +20,7 @@ from .compiler import LabeledHMM, compile_abt
 from .divergence import SyntheticEmissionSpec, synth_emissions
 from .hmm import DiscreteHMM, _Packed, _bucket, _sample_batch, _viterbi_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
-from .validation import check_observations
+from .validation import check_observations, check_updates
 
 DEFAULT_N_SEQUENCES = 15_000
 DEFAULT_SEED = 12061
@@ -343,10 +343,7 @@ class SweepConfig:
     bw_updates: str = "t"
 
     def __post_init__(self):
-        if set(self.bw_updates) - set("ste"):
-            raise ValueError(
-                f"bw_updates must only contain 's', 't', 'e': {self.bw_updates!r}"
-            )
+        check_updates(self.bw_updates, "bw_updates")
 
     @classmethod
     def from_file(cls, path):

@@ -8,6 +8,8 @@ overall failure.
 from dataclasses import dataclass, field
 from typing import Union
 
+from .validation import check_probability_vector, check_stochastic_matrix
+
 SUCCESS = "S"
 FAILURE = "F"
 
@@ -29,7 +31,7 @@ class LeafStats:
     emission: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "emission", tuple(float(x) for x in self.emission))
+        object.__setattr__(self, "emission", tuple(map(float, self.emission)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ class ABTDefinition:
     out_failure: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "out_success", tuple(float(x) for x in self.out_success))
-        object.__setattr__(self, "out_failure", tuple(float(x) for x in self.out_failure))
+        object.__setattr__(self, "out_success", tuple(map(float, self.out_success)))
+        object.__setattr__(self, "out_failure", tuple(map(float, self.out_failure)))
 
     @property
     def leaves(self):
@@ -128,9 +130,10 @@ def validate_abt(abt):
     report = ValidationReport()
     if abt.n_symbols < 1:
         report.add("", f"alphabet size must be positive, got {abt.n_symbols}")
-    _validate_node(abt.root, "root", abt.n_symbols, report)
-    for label, row in (("out_success", abt.out_success), ("out_failure", abt.out_failure)):
-        _validate_row(row, label, abt.n_symbols, report)
+    rows = []
+    _validate_node(abt.root, "root", rows, report)
+    rows += [("out_success", abt.out_success), ("out_failure", abt.out_failure)]
+    _validate_rows(rows, abt.n_symbols, report)
     names = [leaf.name for leaf in abt.leaves]
     seen = set()
     for name in names:
@@ -140,36 +143,45 @@ def validate_abt(abt):
     return report
 
 
-def _validate_row(row, path, n_symbols, report):
-    if len(row) != n_symbols:
-        report.add(path, f"emission row has {len(row)} entries, alphabet is {n_symbols}")
-        return
-    if any(x < 0 for x in row):
-        report.add(path, "emission row has negative entries")
-    elif abs(sum(row) - 1.0) > 1e-6:
-        report.add(path, f"emission row sums to {sum(row)!r}")
+def _validate_rows(rows, n_symbols, report):
+    """Check the (path, emission row) pairs with one stochastic-matrix check,
+    and only when it fails row by row, so each violation names its path."""
+    sized = []
+    for path, row in rows:
+        if len(row) == n_symbols:
+            sized.append((path, row))
+        else:
+            report.add(path, f"emission row has {len(row)} entries, alphabet is {n_symbols}")
+    try:
+        check_stochastic_matrix([row for _, row in sized], "emission rows")
+    except ValueError:
+        for path, row in sized:
+            try:
+                check_probability_vector(row, "emission row")
+            except ValueError as err:
+                report.add(path, str(err))
 
 
-def _validate_node(node, path, n_symbols, report):
+def _validate_node(node, path, rows, report):
     if isinstance(node, Leaf):
         if not (0.0 <= node.stats.ps <= 1.0):
             report.add(path, f"ps={node.stats.ps} outside [0, 1]")
-        _validate_row(node.stats.emission, f"{path}:{node.name}", n_symbols, report)
+        rows.append((f"{path}:{node.name}", node.stats.emission))
     elif isinstance(node, _COMPOSITES):
         kind = type(node).__name__.lower()
         if len(node.children) < 1:
             report.add(path, f"empty {kind}")
         for i, c in enumerate(node.children):
-            _validate_node(c, f"{path}/{kind}[{i}]", n_symbols, report)
+            _validate_node(c, f"{path}/{kind}[{i}]", rows, report)
     elif isinstance(node, Retry):
-        _validate_node(node.child, f"{path}/retry", n_symbols, report)
+        _validate_node(node.child, f"{path}/retry", rows, report)
     elif isinstance(node, Parallel):
         if len(node.children) < 2:
             report.add(path, "parallel needs at least two children")
         if not (0.0 < node.threshold <= 1.0):
             report.add(path, f"parallel threshold {node.threshold} outside (0, 1]")
         for i, c in enumerate(node.children):
-            _validate_node(c, f"{path}/parallel[{i}]", n_symbols, report)
+            _validate_node(c, f"{path}/parallel[{i}]", rows, report)
     else:
         report.add(path, f"unknown node type {type(node).__name__}")
 
@@ -226,29 +238,22 @@ def unit_successors(root):
     Nested retries raise UnsupportedStructureError.
     """
     units, retries = [], []
-    total = _n_units(root)
-    _walk_units(root, 0, total, total + 1, units, retries, in_retry=False)
-    return units, retries
-
-
-def _n_units(node):
-    if isinstance(node, (Leaf, Parallel)):
-        return 1
-    if isinstance(node, Retry):
-        return _n_units(node.child)
-    if isinstance(node, _COMPOSITES):
-        return sum(_n_units(c) for c in node.children)
-    raise TypeError(f"not a tree node: {node!r}")
+    succ, fail = [None], [None]
+    total = _walk_units(root, 0, succ, fail, units, retries, in_retry=False)
+    succ[0], fail[0] = total, total + 1
+    return [(node, s[0], f[0]) for node, s, f in units], retries
 
 
 def _walk_units(node, start, succ, fail, units, retries, in_retry):
+    """Append node's units from index start and return the index after them.
+    Targets are one-item lists, filled once the unit they name is numbered."""
     if isinstance(node, (Leaf, Parallel)):
         units.append((node, succ, fail))
         return start + 1
     if isinstance(node, Retry):
         if in_retry:
             raise UnsupportedStructureError("nested retry ranges overlap")
-        stop = _walk_units(node.child, start, succ, start, units, retries, True)
+        stop = _walk_units(node.child, start, succ, [start], units, retries, True)
         retries.append((start, stop))
         return stop
     if not isinstance(node, _COMPOSITES):
@@ -256,12 +261,13 @@ def _walk_units(node, start, succ, fail, units, retries, in_retry):
     pos = start
     last = len(node.children) - 1
     for i, child in enumerate(node.children):
+        nxt = [None]  # the next sibling's first unit
         if isinstance(node, Sequence):
-            nxt = succ if i == last else pos + _n_units(child)
-            pos = _walk_units(child, pos, nxt, fail, units, retries, in_retry)
+            s, f = (succ if i == last else nxt), fail
         else:
-            nxt = fail if i == last else pos + _n_units(child)
-            pos = _walk_units(child, pos, succ, nxt, units, retries, in_retry)
+            s, f = succ, (fail if i == last else nxt)
+        pos = _walk_units(child, pos, s, f, units, retries, in_retry)
+        nxt[0] = pos
     return pos
 
 

@@ -1,8 +1,8 @@
 """Input checks shared by the model classes and the compiler.
 
 Every helper raises ValueError with a message naming the offending input,
-and returns the validated value as a float64 numpy array so callers can
-use the result directly.
+and returns the validated value (numbers as a float64 numpy array) so
+callers can use the result directly.
 """
 
 import numpy as np
@@ -34,6 +34,13 @@ def check_stochastic_matrix(m, name="matrix", atol=ATOL):
     if bad.size:
         raise ValueError(f"{name} row {bad[0]} sums to {float(sums[bad[0]])}, expected 1")
     return m
+
+
+def check_updates(updates, name="updates"):
+    """The Baum-Welch parameter groups to refit: any of "s", "t", "e"."""
+    if set(updates) - set("ste"):
+        raise ValueError(f"{name} must only contain 's', 't', 'e': {updates!r}")
+    return updates
 
 
 def check_observations(obs, n_symbols, name="obs"):

@@ -32,6 +32,36 @@ from abthmm.validation import check_observations
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
 
+_LEAF = "(leaf a :ps 0.5 :emit (gauss))"
+_TWO = "(outputs (table 0.5 0.5) (table 0.5 0.5))"
+
+# Tree files that parse must refuse, each with a fragment of its error: a
+# number error gives the position, a broken tree rule the node path.
+MALFORMED_TREES = [
+    (f"(alphabet inf) {_LEAF}", "line 1, col 11: alphabet size must be finite"),
+    (f"(alphabet nan) {_LEAF}", "line 1, col 11: alphabet size must be finite"),
+    (f"(ratio inf) {_LEAF}", "line 1, col 8: ratio must be finite"),
+    (f"(ratio nan) {_LEAF}", "line 1, col 8: ratio must be finite"),
+    (f"(outputs (gauss inf) (gauss 2)) {_LEAF}", "line 1, col 17: gauss index must be finite"),
+    (f"(outputs (gauss 1) (gauss nan)) {_LEAF}", "line 1, col 27: gauss index must be finite"),
+    ("(leaf a :ps nan :emit (gauss))", "line 1, col 13: :ps must be finite"),
+    ("(leaf a :ps 1e999 :emit (gauss))", "line 1, col 13: :ps must be finite"),
+    (f"(parallel :threshold inf {_LEAF} {_LEAF})", "line 1, col 22: :threshold must be finite"),
+    (f"(parallel :threshold nan {_LEAF} {_LEAF})", "line 1, col 22: :threshold must be finite"),
+    ("(leaf a :ps 0.5 :emit (table 0.5 inf))", "line 1, col 34: table entry must be finite"),
+    ("(leaf a :ps 0.5 :emit (table nan 1.0))", "line 1, col 30: table entry must be finite"),
+    (
+        f"{_TWO} (sequence (leaf a :ps 0.5 :emit (table 0.5 0.5))\n"
+        "  (leaf b :ps 0.5 :emit (table 0.5 0.5000005)))",
+        "root/sequence[1]:b: emission row sums to 1.0000005, expected 1",
+    ),
+    (
+        f"{_TWO} (selector (leaf a :ps 0.5 :emit (table 0.5 0.5))\n"
+        "  (leaf b :ps 0.5 :emit (table -nan 0.5)))",
+        "line 2, col 32: table entry must be finite",
+    ),
+]
+
 
 def uniform_row(j):
     return tuple(1.0 / j for _ in range(j))

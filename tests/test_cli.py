@@ -9,7 +9,7 @@ from abthmm.compiler import EdgeLabel, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
 from abthmm.tree import SUCCESS
 
-from conftest import MODELS
+from conftest import MALFORMED_TREES, MODELS
 
 PICK = str(MODELS / "pick_place.abt")
 
@@ -205,6 +205,18 @@ def test_compile_refuses_a_parallel_tree(tmp_path, capsys):
     out = tmp_path / "par.json"
     assert main(["compile", str(tree), "-o", str(out)]) == 1
     assert "parallel blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [text for text, _ in MALFORMED_TREES])
+def test_compile_refuses_a_malformed_tree_with_one_error_line(tmp_path, capsys, text):
+    tree = tmp_path / "bad.abt"
+    tree.write_text(text)
+    out = tmp_path / "bad.json"
+    assert main(["compile", str(tree), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -175,6 +175,19 @@ def test_decompile_round_trips_random_trees():
         assert again.edges == model.edges
 
 
+def test_a_900_level_chain_compiles_and_decompiles():
+    # Alternating kinds, so canonicalize keeps every level. Only the labels
+    # are compared: dataclass == on the trees recurses two frames a level.
+    root = make_leaf(0)
+    for k in range(1, 901):
+        root = (Sequence if k % 2 else Selector)((make_leaf(k), root))
+    model = compile_abt(abt_of(root))
+    again = compile_abt(decompile(model))
+    assert model.n_states == 903
+    assert again.edges == model.edges
+    assert again.labels == model.labels
+
+
 def test_decompile_round_trips_every_four_leaf_shape():
     seen = set()
     for abt in all_canonical_trees(4):

@@ -5,7 +5,7 @@ from abthmm.divergence import SyntheticEmissionSpec, default_n_symbols, synth_em
 from abthmm.dsl import ParseError, parse, serialize
 from abthmm.tree import FAILURE, Leaf, Retry, SUCCESS, Selector, Sequence
 
-from conftest import random_canonical_tree
+from conftest import MALFORMED_TREES, random_canonical_tree
 
 
 def test_parse_minimal_tree():
@@ -92,7 +92,7 @@ def test_parse_retry_and_parallel():
         ("(widget 1)", "widget"),
         ("(sequence (leaf a :ps 0.5 :emit (gauss))", "end of input"),
         ("(alphabet 4) (ratio 1.0) (leaf a :ps .5 :emit (gauss))", "too small"),
-    ],
+    ] + MALFORMED_TREES,
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

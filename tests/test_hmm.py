@@ -598,6 +598,13 @@ def test_fit_updates_flags_control_parameter_groups():
     assert not np.array_equal(only_s.startprob, base.startprob)
 
 
+def test_fit_refuses_updates_set_after_construction():
+    model = tiny_model()
+    model.updates = "x"
+    with pytest.raises(ValueError, match="updates must only contain"):
+        model.fit([[0, 1, 0]])
+
+
 def test_fit_weights_match_repetition():
     rng = np.random.default_rng(31)
     truth = DiscreteHMM([0.6, 0.4], [[0.5, 0.5], [0.2, 0.8]], [[0.9, 0.1], [0.3, 0.7]])

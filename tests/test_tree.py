@@ -128,6 +128,10 @@ def test_validate_abt_flags_bad_numbers():
     short = ABTDefinition(make_leaf(0), 8, uniform_row(4), uniform_row(8))
     assert not validate_abt(short).ok
 
+    nan_row = (float("nan"),) + uniform_row(8)[1:]
+    report = validate_abt(abt_of(Sequence((make_leaf(0), Leaf("x", LeafStats(0.5, nan_row))))))
+    assert report.violations == [("root/sequence[1]:x", "emission row has negative or NaN entries")]
+
 
 def test_tick_retry_repeats_until_success():
     abt = abt_of(Retry(Selector((make_leaf(0), make_leaf(1)))))
