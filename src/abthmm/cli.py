@@ -11,6 +11,7 @@ stderr), 2 on a usage error.
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -149,7 +150,16 @@ def cmd_decompile(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser for every subcommand, built on the first call in a
+    process and shared by every later one.
+
+    Because main reuses it across calls, the parser must hold no per-call
+    state: each parse_args returns a new namespace, and set_defaults only
+    binds the cmd_* functions. Do not add actions that remember what they
+    saw, and do not mutate the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="abthmm",
         description="Compile behavior trees to labeled Markov models and run "
@@ -203,6 +213,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit status; a usage error exits with 2 through argparse's SystemExit.
+    It may be called any number of times in one process."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -41,6 +41,7 @@ from .tree import (
     unit_successors,
     validate_abt,
 )
+from .validation import check_symbol_count
 
 DEFAULT_STATE_CAP = 4096
 
@@ -140,8 +141,9 @@ def compile_abt(abt, *, state_cap=None):
     The result has one state per leaf plus two absorbing output states;
     parallel subtrees add product-state blocks in place of their leaves.
     Raises ValueError on an invalid tree, UnsupportedStructureError on
-    nesting the transforms cannot express, and StateCapError when a
-    parallel product would blow past the state cap.
+    nesting the transforms cannot express, StateCapError when a parallel
+    product would blow past the state cap, and SymbolCapError when its
+    joint alphabet would exceed validation.SYMBOL_CAP.
     """
     root = canonicalize(abt.root)
     abt = ABTDefinition(root, abt.n_symbols, abt.out_success, abt.out_failure)
@@ -235,7 +237,12 @@ def _product_states(par, first, abt, cap):
     Returns the ordered status tuples (entry first), the transition cells
     per state as (column, probability) pairs where the column is a local
     state index or "S"/"F" for the two exits, and the joint emission matrix.
+    Raises SymbolCapError before any of this when the joint alphabet, J to
+    the power of the child count, exceeds SYMBOL_CAP.
     """
+    k = len(par.children)
+    check_symbol_count(abt.n_symbols**k,
+                       f"a parallel block of {k} children over {abt.n_symbols} symbols")
     leaves = abt.leaves
     ps = [float(leaf.stats.ps) for leaf in leaves]
     moves = {}  # leaf index -> (status after success, status after failure)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_probability_vector
+from .validation import check_probability_vector, check_symbol_count
 
 _FLOOR = 1e-300
 
@@ -92,8 +92,13 @@ class SyntheticEmissionSpec:
 
 
 def default_n_symbols(n_states, ratio, sigma=2.0):
-    """Alphabet size that comfortably fits all centers plus margins."""
-    return max(16, math.ceil((n_states + 1) * ratio * sigma) + 8 * math.ceil(sigma))
+    """Alphabet size that comfortably fits all centers plus margins.
+
+    Raises SymbolCapError when the centers alone span more than SYMBOL_CAP.
+    """
+    span = check_symbol_count((n_states + 1) * ratio * sigma,
+                              f"a synthetic family of {n_states} rows at ratio {ratio}")
+    return max(16, math.ceil(span) + 8 * math.ceil(sigma))
 
 
 def synth_emissions(spec):
@@ -102,15 +107,19 @@ def synth_emissions(spec):
     Row i is a discretized Gaussian centered at 4*sigma + i*ratio*sigma with
     standard deviation sigma/2, floored at a tiny positive value and
     normalized over the alphabet. Raises ValueError when the alphabet cannot
-    hold all centers with a 4*sigma margin on both sides.
+    hold all centers with a 4*sigma margin on both sides, and SymbolCapError
+    before allocating when it or the span it needs exceeds SYMBOL_CAP.
     """
     n = spec.n_states
     sigma = spec.sigma
     j = spec.n_symbols
     if j is None:
         j = default_n_symbols(n, spec.ratio, sigma)
+    check_symbol_count(j, "the synthetic alphabet")
     offset = 4.0 * sigma
-    needed = math.ceil(2 * offset + (n - 1) * spec.ratio * sigma)
+    span = 2 * offset + (n - 1) * spec.ratio * sigma
+    what = f"a synthetic family of {n} rows at ratio {spec.ratio}"
+    needed = math.ceil(check_symbol_count(span, what))
     if j < needed:
         raise ValueError(
             f"alphabet of {j} symbols is too small for {n} rows at "

@@ -48,6 +48,7 @@ from .tree import (
     Sequence,
     validate_abt,
 )
+from .validation import SymbolCapError
 
 
 class ParseError(ValueError):
@@ -223,6 +224,8 @@ def parse(text, default_ratio=1.0):
         )
         try:
             synth = divergence.synth_emissions(spec)
+        except SymbolCapError:
+            raise
         except ValueError as err:
             raise ParseError(f"cannot build synthetic rows: {err}")
 

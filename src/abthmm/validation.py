@@ -9,6 +9,23 @@ import numpy as np
 
 ATOL = 1e-9
 
+# Widest emission alphabet a model may have. Each row of an emission matrix
+# is as wide as the alphabet, so callers check before allocating one.
+SYMBOL_CAP = 1 << 20
+
+
+class SymbolCapError(ValueError):
+    """An emission alphabet would exceed SYMBOL_CAP symbols."""
+
+
+def check_symbol_count(count, what):
+    """Raise SymbolCapError unless count (an int, or a float span that may be
+    inf) is at most SYMBOL_CAP; what names the alphabet's source."""
+    if not count <= SYMBOL_CAP:
+        shown = f"{count:.6g}" if isinstance(count, float) else count
+        raise SymbolCapError(f"{what} needs {shown} symbols, more than the cap of {SYMBOL_CAP}")
+    return count
+
 
 def check_probability_vector(p, name="p", atol=ATOL):
     p = np.asarray(p, dtype=np.float64)

@@ -63,6 +63,29 @@ MALFORMED_TREES = [
 ]
 
 
+def _block(k, n):
+    """A leaf followed by a parallel block of k children, each a sequence of
+    n gauss leaves, at ratio 1.0."""
+    kids = " ".join(
+        "(sequence " + " ".join(f"(leaf c{c}l{i} :ps 0.9 :emit (gauss))" for i in range(n)) + ")"
+        for c in range(k)
+    )
+    return f"(ratio 1.0) (sequence {_LEAF} (parallel :threshold 0.5 {kids}))"
+
+
+# Trees whose emission alphabet would exceed validation.SYMBOL_CAP (2^20):
+# the synthetic family's span at a huge ratio (inf at 1e308, 8e7 at 1e7),
+# an explicit alphabet the gauss rows would fill, and a block whose joint
+# alphabet is 48^4 = 5 308 416 symbols. Unrefused, the last three would
+# fill a float64 matrix of 1.9 GB (synthetic rows), 48 MB (synthetic rows)
+# and 1.4 GB (the block's 34 states in b).
+OVERSIZED_TREES = [
+    f"(ratio 1e308) {_LEAF}",
+    f"(ratio 1e7) {_LEAF}",
+    f"(alphabet 2000000) {_LEAF}",
+    _block(4, 3),
+]
+
 def uniform_row(j):
     return tuple(1.0 / j for _ in range(j))
 

@@ -1,4 +1,5 @@
-"""tools/bench_kernels.py at a tiny size: every kernel is timed on both inputs."""
+"""tools/bench_kernels.py at a tiny size: every kernel is timed on both inputs,
+and one in-process command line is timed."""
 
 import importlib.util
 import json
@@ -14,6 +15,7 @@ def test_bench_kernels_prints_every_kernel_time(capsys):
     assert module.main(["--repeat", "1", "--scale", "0.005"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["repeat"] == 1 and set(doc["inputs"]) == {"simulate_fit", "patrol"}
+    assert doc["cli_call_s"] > 0
     for entry in doc["inputs"].values():
         assert entry["runs"] >= entry["rows"] >= 1 and entry["positions"] >= entry["rows"]
         assert entry["chunks"] >= 1

@@ -1,15 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from abthmm import dsl
-from abthmm.cli import main
+from abthmm.cli import build_parser, main
 from abthmm.compiler import EdgeLabel, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
 from abthmm.tree import SUCCESS
 
-from conftest import MALFORMED_TREES, MODELS
+from conftest import MALFORMED_TREES, MODELS, OVERSIZED_TREES, REPO
 
 PICK = str(MODELS / "pick_place.abt")
 
@@ -208,7 +211,7 @@ def test_compile_refuses_a_parallel_tree(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [text for text, _ in MALFORMED_TREES])
+@pytest.mark.parametrize("text", [text for text, _ in MALFORMED_TREES] + OVERSIZED_TREES)
 def test_compile_refuses_a_malformed_tree_with_one_error_line(tmp_path, capsys, text):
     tree = tmp_path / "bad.abt"
     tree.write_text(text)
@@ -218,6 +221,13 @@ def test_compile_refuses_a_malformed_tree_with_one_error_line(tmp_path, capsys, 
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_table1_refuses_a_ratio_past_the_symbol_cap(capsys):
+    assert main(["table1", "--ratios", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "more than the cap of 1048576" in err
 
 
 def test_bad_model_file_is_a_domain_error(tmp_path, capsys):
@@ -359,3 +369,46 @@ def test_decompile_refuses_a_start_off_the_first_leaf(tmp_path, capsys):
     assert main(["decompile", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pi" in err
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def _run_alone(argv, cwd):
+    """(exit code, stdout) of one command line in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-m", "abthmm", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_calls_in_one_process_match_calls_alone(tmp_path, capsys, monkeypatch):
+    config = f"model = {PICK}\nratios = 1\nperturbations = 0, 0.25\nn_sequences = 30\n"
+    commands = [
+        ["count", "-l", "3"],
+        ["compile", PICK, "-o", "pick.json"],
+        ["sweep", "--kind", "viterbi", "--config", "sweep.cfg", "-o", "metrics.csv"],
+    ]
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    for where in (alone, together):
+        where.mkdir()
+        (where / "sweep.cfg").write_text(config)
+    monkeypatch.chdir(together)
+    with pytest.raises(SystemExit) as exc:
+        main(["transmogrify"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'transmogrify'" in capsys.readouterr().err
+    for argv in commands:
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == _run_alone(argv, alone)
+    for name in ("pick.json", "metrics.csv"):
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_subcommand_help_after_the_parser_is_built(capsys):
+    build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: abthmm sweep")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +35,10 @@ from abthmm.tree import (
     canonicalize,
     successor_map,
 )
+from abthmm.validation import SYMBOL_CAP, SymbolCapError
 
 from conftest import (
+    OVERSIZED_TREES,
     REPO,
     all_canonical_trees,
     brute_transitions,
@@ -446,6 +449,17 @@ def test_state_cap_respected(monkeypatch):
     with pytest.raises(StateCapError):
         compile_abt(abt)
 
+
+@pytest.mark.parametrize("text", OVERSIZED_TREES)
+def test_symbol_cap_refuses_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SymbolCapError, match=f"more than the cap of {SYMBOL_CAP}"):
+            compile_abt(parse(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 def test_compiled_retry_and_parallel_trees_match_the_tree_walker():
     rng = np.random.default_rng(12)

@@ -14,6 +14,7 @@ from abthmm.divergence import (
     kl_divergence,
     synth_emissions,
 )
+from abthmm.validation import SYMBOL_CAP, SymbolCapError
 
 RATIOS = (0.0, 0.25, 1.0, 2.5, 5.0)
 
@@ -91,6 +92,11 @@ def test_synth_rows_too_small_alphabet():
         synth_emissions(SyntheticEmissionSpec(6, 1.0, n_symbols=16))
     assert "too small" in str(err.value)
     assert "26" in str(err.value)
+
+
+def test_synth_rows_refuse_a_span_past_the_symbol_cap_in_a_given_alphabet():
+    with pytest.raises(SymbolCapError, match=f"needs inf symbols, more than the cap of {SYMBOL_CAP}"):
+        synth_emissions(SyntheticEmissionSpec(3, 1e308, n_symbols=100))
 
 
 def test_default_n_symbols_floor():

@@ -19,7 +19,11 @@ its own generator seeded with the same seed beforehand.
 The forward and backward passes are timed over the batch's chunks, with the
 emissions gathered beforehand (the backward pass overwrites them, so it
 runs on a fresh copy, made outside the timed call); ``_expectation`` is
-timed whole. Run it from anywhere inside the repository:
+timed whole.
+
+``cli_call_s`` times the fixed cost of one in-process command line apart
+from the kernels: ``cli.main(["count", "-l", "3"])`` with stdout captured,
+after one untimed call. Run it from anywhere inside the repository:
 
     python3 tools/bench_kernels.py --repeat 20
 
@@ -28,6 +32,8 @@ Uses numpy and the package only.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import sys
@@ -40,7 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 import abthmm
-from abthmm import hmm
+from abthmm import cli, hmm
 from abthmm.tree import VISIT_CAP
 
 SEED = 12061
@@ -124,6 +130,15 @@ def time_kernels(labeled, batch, runs, repeat):
     }
 
 
+def time_cli_call(repeat):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["count", "-l", "3"])
+
+    call()
+    return fastest(call, repeat)
+
+
 def main(argv=None):
     args = parse_args(argv)
     doc = {
@@ -131,7 +146,8 @@ def main(argv=None):
                                                                 else argv),
         "method": "fastest of --repeat calls, time.perf_counter; sample_s draws the input's "
                   "runs on a freshly seeded generator; forward_s and backward_s sum the "
-                  "batch's chunks with the emissions gathered beforehand",
+                  "batch's chunks with the emissions gathered beforehand; cli_call_s is an "
+                  "in-process cli.main(['count', '-l', '3']) after one untimed call",
         "machine": platform.machine(),
         "processor": platform.processor(),
         "python": platform.python_version(),
@@ -139,6 +155,7 @@ def main(argv=None):
         "repeat": args.repeat,
         "scale": args.scale,
         "seed": SEED,
+        "cli_call_s": time_cli_call(args.repeat),
         "inputs": {name: time_kernels(model, batch, runs, args.repeat)
                    for name, model, batch, runs in inputs(args.scale)},
     }
