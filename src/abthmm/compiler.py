@@ -19,7 +19,6 @@ combination of child positions.
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from .tree import (
     Selector,
     Sequence,
     UnsupportedStructureError,
-    canonicalize,
     n_leaves,
     parallel_outcome,
     successor_map,
@@ -43,7 +41,9 @@ from .tree import (
 )
 from .validation import check_symbol_count
 
-DEFAULT_STATE_CAP = 4096
+# Most states a compiled model with parallel blocks may have, and most
+# product states one block may enumerate.
+STATE_CAP = 4096
 
 SUCCESS_LABEL = "success"
 FAILURE_LABEL = "failure"
@@ -54,13 +54,7 @@ class InconsistentLabelsError(ValueError):
 
 
 class StateCapError(ValueError):
-    """A parallel product expansion exceeded the configured state cap."""
-
-
-def _state_cap(explicit):
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get("ABTHMM_STATE_CAP", DEFAULT_STATE_CAP))
+    """A parallel product expansion exceeded STATE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -135,26 +129,21 @@ class LabeledHMM:
 # compilation
 
 
-def compile_abt(abt, *, state_cap=None):
-    """Build the labeled model for a validated tree.
+def compile_abt(abt):
+    """Build the labeled model for a tree, which it first checks with
+    validate_abt.
 
     The result has one state per leaf plus two absorbing output states;
     parallel subtrees add product-state blocks in place of their leaves.
+    Nested same-kind and one-child composites compile as their flattening.
     Raises ValueError on an invalid tree, UnsupportedStructureError on
     nesting the transforms cannot express, StateCapError when a parallel
-    product would blow past the state cap, and SymbolCapError when its
-    joint alphabet would exceed validation.SYMBOL_CAP.
+    product would blow past STATE_CAP, and SymbolCapError when its joint
+    alphabet would exceed validation.SYMBOL_CAP.
     """
-    root = canonicalize(abt.root)
-    abt = ABTDefinition(root, abt.n_symbols, abt.out_success, abt.out_failure)
-    report = validate_abt(abt)
-    if not report.ok:
-        path, message = report.violations[0]
-        raise ValueError(f"invalid tree at {path or 'root'}: {message}")
-
-    units, retries = unit_successors(root)
+    validate_abt(abt)
+    units, retries = unit_successors(abt.root)
     leaves = abt.leaves
-    cap = _state_cap(state_cap)
     # Unit u starts at state offsets[u]. offsets[n] and offsets[n + 1] are
     # the success and failure outputs, so unit targets index offsets directly.
     offsets, first_leaf, products = [0], [0], []
@@ -163,22 +152,24 @@ def compile_abt(abt, *, state_cap=None):
             products.append(None)
             offsets.append(offsets[-1] + 1)
         else:
-            products.append(_product_states(node, first_leaf[-1], abt, cap))
+            products.append(_product_states(node, first_leaf[-1], abt))
             offsets.append(offsets[-1] + len(products[-1][0]))
         first_leaf.append(first_leaf[-1] + n_leaves(node))
     o_s = offsets[-1]
     o_f = o_s + 1
     offsets.append(o_f)
     n_states = o_s + 2
-    if any(products) and n_states > cap:
+    if any(products) and n_states > STATE_CAP:
         raise StateCapError(
-            f"product blow-up: {n_states} states exceed the cap of {cap}"
+            f"product blow-up: {n_states} states exceed the cap of {STATE_CAP}"
         )
 
     j_symbols = abt.n_symbols
-    j_model = max([j_symbols] + [p[2].shape[1] for p in products if p])
+    j_model = max([j_symbols] + [j_symbols ** len(node.children)
+                                 for node, _, _ in units if not isinstance(node, Leaf)])
     a = np.zeros((n_states, n_states))
     b = np.zeros((n_states, j_model))
+    done_rows = {SUCCESS: abt.out_success, FAILURE: abt.out_failure}
     edges = [None] * n_states
     labels = [None] * n_states
     leaf_states = [None] * len(leaves)
@@ -194,13 +185,18 @@ def compile_abt(abt, *, state_cap=None):
             labels[q] = node.name
             leaf_states[first_leaf[u]] = q
             continue
-        statuses, trans, emit = products[u]
+        statuses, trans = products[u]
         exits = {"S": st, "F": ft}
         for r, cells in enumerate(trans):
             for col, prob in cells:
                 a[q + r, exits[col] if col in exits else q + col] += prob
-        b[q : q + len(statuses), : emit.shape[1]] = emit
         for r, status in enumerate(statuses):
+            # The joint emission row: the Kronecker product of each child's
+            # row, the running leaf's or the finished child's output row.
+            row = np.ones(1)
+            for kind, x in status:
+                row = np.kron(row, leaves[x].stats.emission if kind == "run" else done_rows[x])
+            b[q + r, : row.size] = row
             labels[q + r] = "(" + "|".join(
                 leaves[x].name if kind == "run" else x for kind, x in status
             ) + ")"
@@ -230,21 +226,20 @@ def compile_abt(abt, *, state_cap=None):
 # parallel products
 
 
-def _product_states(par, first, abt, cap):
+def _product_states(par, first, abt):
     """Enumerate the reachable product states of the parallel node par,
     whose leaves are numbered from first on.
 
-    Returns the ordered status tuples (entry first), the transition cells
-    per state as (column, probability) pairs where the column is a local
-    state index or "S"/"F" for the two exits, and the joint emission matrix.
-    Raises SymbolCapError before any of this when the joint alphabet, J to
-    the power of the child count, exceeds SYMBOL_CAP.
+    Returns the ordered status tuples (entry first) and the transition cells
+    per state as (column, probability) pairs, where the column is a local
+    state index or "S"/"F" for the two exits. Raises SymbolCapError before
+    any of this when the joint alphabet, J to the power of the child count,
+    exceeds SYMBOL_CAP.
     """
     k = len(par.children)
     check_symbol_count(abt.n_symbols**k,
                        f"a parallel block of {k} children over {abt.n_symbols} symbols")
-    leaves = abt.leaves
-    ps = [float(leaf.stats.ps) for leaf in leaves]
+    ps = [float(leaf.stats.ps) for leaf in abt.leaves]
     moves = {}  # leaf index -> (status after success, status after failure)
     entry = []
     g0 = first
@@ -256,36 +251,28 @@ def _product_states(par, first, abt, cap):
         entry.append(("run", g0))
         g0 += width
     entry = tuple(entry)
-    seen = {entry}
+    expanded = {entry: _expand(entry, moves, ps, par.threshold)}
     frontier = [entry]
     while frontier:
-        state = frontier.pop()
-        for nxt, _ in _expand(state, moves, ps, par.threshold):
-            if nxt in ("S", "F") or nxt in seen:
+        for nxt, _ in expanded[frontier.pop()]:
+            if nxt in ("S", "F") or nxt in expanded:
                 continue
-            if len(seen) >= cap:
+            if len(expanded) >= STATE_CAP:
                 raise StateCapError(
-                    f"product blow-up: more than {cap} parallel product states"
+                    f"product blow-up: more than {STATE_CAP} parallel product states"
                 )
-            seen.add(nxt)
+            expanded[nxt] = _expand(nxt, moves, ps, par.threshold)
             frontier.append(nxt)
-    states = [entry] + sorted(seen - {entry})
+    states = [entry] + sorted(set(expanded) - {entry})
     index = {s: i for i, s in enumerate(states)}
     trans = []
     for state in states:
         cells = {}
-        for nxt, prob in _expand(state, moves, ps, par.threshold):
+        for nxt, prob in expanded[state]:
             col = nxt if nxt in ("S", "F") else index[nxt]
             cells[col] = cells.get(col, 0.0) + prob
         trans.append(sorted(cells.items(), key=repr))
-    done_rows = {SUCCESS: abt.out_success, FAILURE: abt.out_failure}
-    emit = []
-    for state in states:
-        row = np.ones(1)
-        for kind, x in state:
-            row = np.kron(row, leaves[x].stats.emission if kind == "run" else done_rows[x])
-        emit.append(row)
-    return states, trans, np.asarray(emit)
+    return states, trans
 
 
 def _expand(state, moves, ps, threshold):

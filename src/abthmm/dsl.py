@@ -173,14 +173,15 @@ def _parse_node(toks, leaves):
     return (Sequence if kind == "sequence" else Selector)(tuple(children))
 
 
-def parse(text, default_ratio=1.0):
+def parse(text):
     """Parse DSL text into an ABTDefinition.
 
     Raises ParseError: a grammar or number error names its line and column,
     a tree that breaks one of validate_abt's rules names the node path.
     """
     toks = _Tokens(_tokenize(text))
-    alphabet = outputs = ratio = root = None
+    alphabet = outputs = root = None
+    ratio = 1.0
     leaves = []
     while toks.peek() is not None:
         save = toks.pos
@@ -206,8 +207,6 @@ def parse(text, default_ratio=1.0):
         toks.pop(")")
     if root is None:
         raise ParseError("no tree in input")
-    if ratio is None:
-        ratio = default_ratio
     total = len(leaves)
     n_states = total + 2
     if outputs is None:
@@ -244,10 +243,10 @@ def parse(text, default_ratio=1.0):
     abt = ABTDefinition(
         root, n_symbols, resolve(outputs[0], total), resolve(outputs[1], total + 1)
     )
-    report = validate_abt(abt)
-    if not report.ok:
-        path, message = report.violations[0]
-        raise ParseError(f"{path}: {message}" if path else message)
+    try:
+        validate_abt(abt)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
     return abt
 
 

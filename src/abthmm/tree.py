@@ -5,7 +5,7 @@ two implicit output states: index l for overall success and l + 1 for
 overall failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .validation import check_probability_vector, check_stochastic_matrix
@@ -112,78 +112,64 @@ class ABTDefinition:
         return len(self.leaves)
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def add(self, path, message):
-        self.violations.append((path, message))
-
-
 def validate_abt(abt):
-    """Structural and probability checks. A tree with an empty report is
-    accepted by the compiler."""
-    report = ValidationReport()
+    """Raise ValueError("<path>: <message>") on the first broken rule of a
+    tree, checking in this order: the alphabet size; the nodes depth first
+    (leaf ps in [0, 1], composite and parallel arity, parallel threshold in
+    (0, 1], node type); the emission rows, first their lengths and then their
+    entries, leaves depth first and then the two outputs; and leaf names,
+    which must be unique. A tree that passes is accepted by the compiler."""
     if abt.n_symbols < 1:
-        report.add("", f"alphabet size must be positive, got {abt.n_symbols}")
+        raise ValueError(f"alphabet size must be positive, got {abt.n_symbols}")
     rows = []
-    _validate_node(abt.root, "root", rows, report)
+    _validate_node(abt.root, "root", rows)
     rows += [("out_success", abt.out_success), ("out_failure", abt.out_failure)]
-    _validate_rows(rows, abt.n_symbols, report)
-    names = [leaf.name for leaf in abt.leaves]
+    _validate_rows(rows, abt.n_symbols)
     seen = set()
-    for name in names:
-        if name in seen:
-            report.add(name, "duplicate leaf name")
-        seen.add(name)
-    return report
+    for leaf in abt.leaves:
+        if leaf.name in seen:
+            raise ValueError(f"{leaf.name}: duplicate leaf name")
+        seen.add(leaf.name)
 
 
-def _validate_rows(rows, n_symbols, report):
+def _validate_rows(rows, n_symbols):
     """Check the (path, emission row) pairs with one stochastic-matrix check,
-    and only when it fails row by row, so each violation names its path."""
-    sized = []
+    and only when it fails row by row, so the error names the row's path."""
     for path, row in rows:
-        if len(row) == n_symbols:
-            sized.append((path, row))
-        else:
-            report.add(path, f"emission row has {len(row)} entries, alphabet is {n_symbols}")
+        if len(row) != n_symbols:
+            raise ValueError(f"{path}: emission row has {len(row)} entries, alphabet is {n_symbols}")
     try:
-        check_stochastic_matrix([row for _, row in sized], "emission rows")
+        check_stochastic_matrix([row for _, row in rows], "emission rows")
     except ValueError:
-        for path, row in sized:
+        for path, row in rows:
             try:
                 check_probability_vector(row, "emission row")
             except ValueError as err:
-                report.add(path, str(err))
+                raise ValueError(f"{path}: {err}") from None
 
 
-def _validate_node(node, path, rows, report):
+def _validate_node(node, path, rows):
     if isinstance(node, Leaf):
         if not (0.0 <= node.stats.ps <= 1.0):
-            report.add(path, f"ps={node.stats.ps} outside [0, 1]")
+            raise ValueError(f"{path}: ps={node.stats.ps} outside [0, 1]")
         rows.append((f"{path}:{node.name}", node.stats.emission))
     elif isinstance(node, _COMPOSITES):
         kind = type(node).__name__.lower()
         if len(node.children) < 1:
-            report.add(path, f"empty {kind}")
+            raise ValueError(f"{path}: empty {kind}")
         for i, c in enumerate(node.children):
-            _validate_node(c, f"{path}/{kind}[{i}]", rows, report)
+            _validate_node(c, f"{path}/{kind}[{i}]", rows)
     elif isinstance(node, Retry):
-        _validate_node(node.child, f"{path}/retry", rows, report)
+        _validate_node(node.child, f"{path}/retry", rows)
     elif isinstance(node, Parallel):
         if len(node.children) < 2:
-            report.add(path, "parallel needs at least two children")
+            raise ValueError(f"{path}: parallel needs at least two children")
         if not (0.0 < node.threshold <= 1.0):
-            report.add(path, f"parallel threshold {node.threshold} outside (0, 1]")
+            raise ValueError(f"{path}: parallel threshold {node.threshold} outside (0, 1]")
         for i, c in enumerate(node.children):
-            _validate_node(c, f"{path}/parallel[{i}]", rows, report)
+            _validate_node(c, f"{path}/parallel[{i}]", rows)
     else:
-        report.add(path, f"unknown node type {type(node).__name__}")
+        raise ValueError(f"{path}: unknown node type {type(node).__name__}")
 
 
 def canonicalize(node):
@@ -212,12 +198,9 @@ def successor_map(root):
     """Map each leaf index to the pair (state on success, state on failure).
 
     Targets are leaf indices, or l for overall success and l + 1 for overall
-    failure. Accepts a node or a whole ABTDefinition. Only plain
-    sequence/selector trees are supported here; retry and parallel nodes go
-    through the compiler.
+    failure. Only plain sequence/selector trees are supported here; retry
+    and parallel nodes go through the compiler.
     """
-    if isinstance(root, ABTDefinition):
-        root = root.root
     units, retries = unit_successors(root)
     if retries or any(isinstance(node, Parallel) for node, _, _ in units):
         raise UnsupportedStructureError(

@@ -1,5 +1,5 @@
 """tools/bench_kernels.py at a tiny size: every kernel is timed on both inputs,
-and one in-process command line is timed."""
+and one in-process command line and one compilation are timed."""
 
 import importlib.util
 import json
@@ -16,6 +16,7 @@ def test_bench_kernels_prints_every_kernel_time(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["repeat"] == 1 and set(doc["inputs"]) == {"simulate_fit", "patrol"}
     assert doc["cli_call_s"] > 0
+    assert doc["compile_s"] > 0
     for entry in doc["inputs"].values():
         assert entry["runs"] >= entry["rows"] >= 1 and entry["positions"] >= entry["rows"]
         assert entry["chunks"] >= 1

@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import json
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from abthmm import compiler
 from abthmm.compiler import (
     EdgeLabel,
     InconsistentLabelsError,
@@ -25,6 +29,8 @@ from abthmm.hmm import DiscreteHMM
 from abthmm.simulate import rollout_dataset
 from abthmm.tree import (
     ABTDefinition,
+    FAILURE,
+    SUCCESS,
     Leaf,
     LeafStats,
     Parallel,
@@ -34,6 +40,7 @@ from abthmm.tree import (
     UnsupportedStructureError,
     canonicalize,
     successor_map,
+    validate_abt,
 )
 from abthmm.validation import SYMBOL_CAP, SymbolCapError
 
@@ -92,19 +99,32 @@ def test_compile_starts_at_first_leaf_and_absorbs(patrol_model):
     assert check_constraints(m).ok
 
 
-def test_compile_canonicalizes_first():
+def test_compile_treats_nesting_as_its_flattening():
     a, b, c = (plain_leaf(n, 0.5) for n in "abc")
-    nested = abt_of(Sequence((Sequence((a, b)), c)))
-    flat = abt_of(Sequence((a, b, c)))
-    m1, m2 = compile_abt(nested), compile_abt(flat)
-    assert np.array_equal(m1.a, m2.a)
-    assert m1.edges == m2.edges
+    flat = compile_abt(abt_of(Sequence((a, b, c))))
+    for nested in (Sequence((Sequence((a, b)), c)), Sequence((Sequence((a, b)), Selector((c,))))):
+        m = compile_abt(abt_of(nested))
+        assert np.array_equal(m.a, flat.a)
+        assert m.edges == flat.edges
 
 
 def test_compile_rejects_invalid_definitions():
     bad_ps = abt_of(Sequence((Leaf("x", LeafStats(1.5, uniform_row(8))), make_leaf(1))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape('root/sequence[0]: ps=1.5 outside [0, 1]')}$"):
         compile_abt(bad_ps)
+
+
+@pytest.mark.parametrize("root, text", [
+    (Sequence((Sequence(()), make_leaf(0))), "root/sequence[0]: empty sequence"),
+    (Selector((make_leaf(0), Selector(()))), "root/selector[1]: empty selector"),
+    (Sequence((make_leaf(0), "junk")), "root/sequence[1]: unknown node type str"),
+])
+def test_compile_refuses_what_validate_refuses(root, text):
+    # The tree is checked as given: an empty composite is not flattened
+    # away first, and a non-node child is named, not tripped over.
+    for check in (validate_abt, compile_abt):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check(abt_of(root))
 
 
 def test_compiled_emissions_stack_leaves_then_outputs(pick_place, pick_place_model):
@@ -379,6 +399,33 @@ def test_compile_parallel_two_leaves_exact():
     assert np.allclose(m.b[0], np.kron(uniform_row(8), uniform_row(8)))
 
 
+def test_block_emission_rows_are_outer_products():
+    # Each block state emits the flattened outer product of its children's
+    # rows: the running leaf's row, or the output row its child finished
+    # on. Products are taken left to right, first child most significant,
+    # so they match the compiled rows bit for bit; wider blocks elsewhere
+    # leave the columns past J^k at 0.
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 200:
+        abt = random_control_tree(rng, int(rng.integers(2, 8)), j=3)
+        m = compile_abt(abt)
+        if not m.blocks:
+            continue
+        checked += 1
+        leaves = abt.leaves
+        done = {SUCCESS: abt.out_success, FAILURE: abt.out_failure}
+        for blk in m.blocks:
+            for r, status in enumerate(blk.statuses):
+                rows = [leaves[x].stats.emission if kind == "run" else done[x]
+                        for kind, x in status]
+                want = [math.prod(picks) for picks in itertools.product(*rows)]
+                got = m.b[blk.first + r]
+                assert len(want) == 3 ** len(status)
+                assert got[: len(want)].tolist() == want
+                assert not got[len(want):].any()
+
+
 def test_parallel_threshold_half_is_an_or():
     abt = abt_of(Parallel((plain_leaf("p", 0.5), plain_leaf("q", 0.5)), 0.5))
     m = compile_abt(abt)
@@ -442,12 +489,21 @@ def test_state_cap_respected(monkeypatch):
         for i in range(5)
     )
     abt = ABTDefinition(Parallel(kids, 1.0), 3, uniform_row(3), uniform_row(3))
-    with pytest.raises(StateCapError) as err:
-        compile_abt(abt, state_cap=16)
-    assert "product blow-up" in str(err.value)
-    monkeypatch.setenv("ABTHMM_STATE_CAP", "16")
-    with pytest.raises(StateCapError):
+    monkeypatch.setattr(compiler, "STATE_CAP", 16)
+    with pytest.raises(StateCapError, match="^product blow-up: more than 16 parallel product states$"):
         compile_abt(abt)
+
+    # Two blocks, each within the cap, that together exceed it.
+    def block(tag):
+        return Parallel((plain_leaf(f"{tag}0", 0.5, j=3), plain_leaf(f"{tag}1", 0.5, j=3)), 1.0)
+
+    two = ABTDefinition(Sequence((block("p"), block("q"))), 3, uniform_row(3), uniform_row(3))
+    monkeypatch.setattr(compiler, "STATE_CAP", 4096)
+    sizes = [blk.n_states for blk in compile_abt(two).blocks]
+    total = sum(sizes) + 2
+    monkeypatch.setattr(compiler, "STATE_CAP", max(sizes))
+    with pytest.raises(StateCapError, match=f"^product blow-up: {total} states exceed the cap of {max(sizes)}$"):
+        compile_abt(two)
 
 
 @pytest.mark.parametrize("text", OVERSIZED_TREES)

@@ -60,10 +60,11 @@ def test_leaf_gauss_rejects_an_index():
 
 def test_parse_default_ratio_argument():
     text = "(sequence (leaf a :ps 0.5 :emit (gauss)) (leaf b :ps 0.5 :emit (gauss)))"
-    abt0 = parse(text, default_ratio=0.0)
-    abt5 = parse(text, default_ratio=5.0)
+    abt0 = parse("(ratio 0) " + text)
+    abt5 = parse("(ratio 5) " + text)
     assert abt0.leaves[0].stats.emission == abt0.leaves[1].stats.emission
     assert abt5.leaves[0].stats.emission != abt5.leaves[1].stats.emission
+    assert parse(text) == parse("(ratio 1) " + text)
 
 
 def test_parse_retry_and_parallel():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -40,12 +41,13 @@ def follow_map(smap, total, outcomes):
 
 
 def test_successor_map_hand_checked(pick_place):
-    smap = successor_map(pick_place)
+    smap = successor_map(pick_place.root)
     assert smap == {0: (1, 5), 1: (2, 5), 2: (4, 3), 3: (4, 5)}
 
 
-def test_successor_map_accepts_node_or_definition(pick_place):
-    assert successor_map(pick_place) == successor_map(pick_place.root)
+def test_successor_map_refuses_a_definition(pick_place):
+    with pytest.raises(TypeError, match="not a tree node: ABTDefinition"):
+        successor_map(pick_place)
 
 
 def test_successor_map_matches_tick_exhaustively():
@@ -53,7 +55,7 @@ def test_successor_map_matches_tick_exhaustively():
     for _ in range(25):
         l = int(rng.integers(1, 7))
         abt = random_canonical_tree(rng, l)
-        smap = successor_map(abt)
+        smap = successor_map(abt.root)
         for combo in itertools.product((SUCCESS, FAILURE), repeat=l):
             outcomes = dict(enumerate(combo))
             assert walk_fixed(abt, outcomes) == follow_map(smap, l, outcomes)
@@ -63,7 +65,7 @@ def test_successor_targets_strictly_increase():
     rng = np.random.default_rng(5)
     for _ in range(50):
         l = int(rng.integers(1, 13))
-        smap = successor_map(random_canonical_tree(rng, l))
+        smap = successor_map(random_canonical_tree(rng, l).root)
         for g, (s, f) in smap.items():
             assert s > g and f > g
             assert s != f
@@ -76,7 +78,7 @@ def test_sequential_pathway_exists():
     for _ in range(50):
         l = int(rng.integers(2, 13))
         abt = random_canonical_tree(rng, l)
-        smap = successor_map(abt)
+        smap = successor_map(abt.root)
         outcomes = {}
         for g in range(l):
             s, f = smap[g]
@@ -112,25 +114,38 @@ def test_canonicalize_flattens_and_collapses():
     assert canonicalize(wrapped) == Retry(Sequence((a, b)))
 
 
+def refused(abt, text):
+    """Assert that validate_abt raises ValueError with exactly text."""
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        validate_abt(abt)
+
+
 def test_validate_abt_flags_bad_numbers():
     good = abt_of(Sequence((make_leaf(0), make_leaf(1))))
-    assert validate_abt(good).ok
+    assert validate_abt(good) is None
 
     bad_ps = abt_of(Sequence((Leaf("x", LeafStats(1.5, uniform_row(8))), make_leaf(1))))
-    report = validate_abt(bad_ps)
-    assert not report.ok
-    assert any("ps" in msg for _, msg in report.violations)
+    refused(bad_ps, "root/sequence[0]: ps=1.5 outside [0, 1]")
 
     row = (0.5,) * 8  # sums to 4
     bad_row = abt_of(Sequence((Leaf("x", LeafStats(0.5, row)), make_leaf(1))))
-    assert not validate_abt(bad_row).ok
+    refused(bad_row, "root/sequence[0]:x: emission row sums to 4.0, expected 1")
 
     short = ABTDefinition(make_leaf(0), 8, uniform_row(4), uniform_row(8))
-    assert not validate_abt(short).ok
+    refused(short, "out_success: emission row has 4 entries, alphabet is 8")
 
     nan_row = (float("nan"),) + uniform_row(8)[1:]
-    report = validate_abt(abt_of(Sequence((make_leaf(0), Leaf("x", LeafStats(0.5, nan_row))))))
-    assert report.violations == [("root/sequence[1]:x", "emission row has negative or NaN entries")]
+    nan_abt = abt_of(Sequence((make_leaf(0), Leaf("x", LeafStats(0.5, nan_row)))))
+    refused(nan_abt, "root/sequence[1]:x: emission row has negative or NaN entries")
+
+
+def test_validate_abt_checks_nodes_before_rows():
+    # Leaf 0 has a short row and leaf 1 a bad ps; the node rules come first.
+    short_leaf = Leaf("s", LeafStats(0.5, uniform_row(4)))
+    abt = abt_of(Sequence((short_leaf, Leaf("p", LeafStats(1.5, uniform_row(8))))))
+    refused(abt, "root/sequence[1]: ps=1.5 outside [0, 1]")
+    abt = abt_of(Sequence((short_leaf, make_leaf(1))))
+    refused(abt, "root/sequence[0]:s: emission row has 4 entries, alphabet is 8")
 
 
 def test_tick_retry_repeats_until_success():

@@ -23,7 +23,10 @@ timed whole.
 
 ``cli_call_s`` times the fixed cost of one in-process command line apart
 from the kernels: ``cli.main(["count", "-l", "3"])`` with stdout captured,
-after one untimed call. Run it from anywhere inside the repository:
+after one untimed call. ``compile_s`` times ``compile_abt`` of
+``perfbench/trees/parallel_retry.abt``, parsed beforehand: one parallel
+block of three children, 8 product states and an 85 184-symbol emission
+matrix. Run it from anywhere inside the repository:
 
     python3 tools/bench_kernels.py --repeat 20
 
@@ -50,6 +53,7 @@ from abthmm import cli, hmm
 from abthmm.tree import VISIT_CAP
 
 SEED = 12061
+PARALLEL_RETRY = ROOT / "perfbench" / "trees" / "parallel_retry.abt"
 
 
 def parse_args(argv):
@@ -76,7 +80,7 @@ def fastest(fn, repeat, setup=None):
 
 def inputs(scale):
     """(name, labeled model, bucketed batch, run count) for each fixed input."""
-    with open(ROOT / "perfbench" / "trees" / "parallel_retry.abt", encoding="utf-8") as fh:
+    with open(PARALLEL_RETRY, encoding="utf-8") as fh:
         abt = abthmm.parse(fh.read())
     data = abthmm.rollout_dataset(abt, max(2, round(1500 * scale)), SEED)
     model = abthmm.compile_abt(abt)
@@ -139,6 +143,12 @@ def time_cli_call(repeat):
     return fastest(call, repeat)
 
 
+def time_compile(repeat):
+    with open(PARALLEL_RETRY, encoding="utf-8") as fh:
+        abt = abthmm.parse(fh.read())
+    return fastest(lambda: abthmm.compile_abt(abt), repeat)
+
+
 def main(argv=None):
     args = parse_args(argv)
     doc = {
@@ -147,7 +157,8 @@ def main(argv=None):
         "method": "fastest of --repeat calls, time.perf_counter; sample_s draws the input's "
                   "runs on a freshly seeded generator; forward_s and backward_s sum the "
                   "batch's chunks with the emissions gathered beforehand; cli_call_s is an "
-                  "in-process cli.main(['count', '-l', '3']) after one untimed call",
+                  "in-process cli.main(['count', '-l', '3']) after one untimed call; "
+                  "compile_s is compile_abt of an already parsed tree",
         "machine": platform.machine(),
         "processor": platform.processor(),
         "python": platform.python_version(),
@@ -156,6 +167,7 @@ def main(argv=None):
         "scale": args.scale,
         "seed": SEED,
         "cli_call_s": time_cli_call(args.repeat),
+        "compile_s": time_compile(args.repeat),
         "inputs": {name: time_kernels(model, batch, runs, args.repeat)
                    for name, model, batch, runs in inputs(args.scale)},
     }
