@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsl import LEAF_NAME
 from .hmm import DiscreteHMM
 from .tree import (
     ABTDefinition,
@@ -90,15 +91,14 @@ class ParallelBlock:
 class LabeledHMM:
     """A model together with the outcome labels of its transitions.
 
-    edges holds an EdgeLabel per leaf state and None for terminal and
-    product states. leaf_states maps each tree leaf index to its state, or
-    None when the leaf lives inside a parallel block.
+    The last two states are the absorbing outputs: o_s, overall success,
+    and o_f, overall failure. edges holds an EdgeLabel per leaf state and
+    None for output and product states. leaf_states maps each tree leaf
+    index to its state, or None when the leaf lives inside a parallel block.
     """
 
     hmm: DiscreteHMM
     edges: tuple
-    o_s: int
-    o_f: int
     labels: tuple
     leaf_states: tuple = ()
     retry_ranges: tuple = ()
@@ -111,6 +111,14 @@ class LabeledHMM:
     @property
     def n_symbols(self):
         return self.hmm.n_symbols
+
+    @property
+    def o_s(self):
+        return self.n_states - 2
+
+    @property
+    def o_f(self):
+        return self.n_states - 1
 
     @property
     def pi(self):
@@ -213,8 +221,6 @@ def compile_abt(abt):
     return LabeledHMM(
         hmm=DiscreteHMM(pi, a, b),
         edges=tuple(edges),
-        o_s=o_s,
-        o_f=o_f,
         labels=tuple(labels),
         leaf_states=tuple(leaf_states),
         retry_ranges=tuple((offsets[lo], offsets[hi]) for lo, hi in retries),
@@ -313,34 +319,25 @@ class ConstraintReport:
         return self.upper_diagonal and self.two_nonzero_per_row and self.superdiagonal_nonzero
 
 
-def check_constraints(model, terminal=None):
+def check_constraints(model):
     """Check the transition-matrix shape every plain compiled tree has.
 
-    Three checks over the non-terminal rows: no mass at or below the
-    diagonal, exactly two outgoing transitions, and a non-empty transition
-    to the next state. Accepts a labeled model (checked through its edge
-    labels, so probability-zero edges still count), a bare model, or a
-    matrix; terminal defaults to the last two states.
+    Three checks over every row but the last two, the outputs: no mass at
+    or below the diagonal, exactly two outgoing transitions, and a
+    non-empty transition to the next state. Accepts a labeled model
+    (checked through its edge labels, so probability-zero edges still
+    count) or a square matrix.
     """
     edges = None
     if isinstance(model, LabeledHMM):
         edges = model.edges
         matrix = model.hmm.transmat
-        if terminal is None:
-            terminal = (model.o_s, model.o_f)
-    elif isinstance(model, DiscreteHMM):
-        matrix = model.transmat
     else:
         matrix = np.asarray(model, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"need a square matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    if terminal is None:
-        terminal = (n - 2, n - 1)
     report = ConstraintReport()
-    for i in range(n):
-        if i in terminal:
-            continue
+    for i in range(matrix.shape[0] - 2):
         if edges is not None and edges[i] is not None:
             e = edges[i]
             cols = sorted({e.succ_target, e.fail_target})
@@ -363,7 +360,8 @@ def check_constraints(model, terminal=None):
 
 
 def decompile(model):
-    """Reconstruct the canonical tree a labeled model was compiled from.
+    """Reconstruct the canonical tree a labeled model was compiled from: no
+    sequence or selector in it has one child or a child of its own kind.
 
     Reads only the jump targets. Each leaf range is oriented by which of
     its exits is reached first (failure first means a sequence, success
@@ -415,8 +413,7 @@ def _split(model, targets, a, b, s, f):
     inside a child is the shared one."""
     if b - a == 1:
         ps = float(model.hmm.transmat[a, targets[a][0]])
-        name = model.labels[a] if model.labels and model.labels[a] else f"l{a}"
-        return Leaf(name, LeafStats(ps, tuple(model.hmm.emissionprob[a])))
+        return Leaf(model.labels[a], LeafStats(ps, tuple(model.hmm.emissionprob[a])))
     kind = _root_kind(targets, a, b, s, f)
     shared = f if kind is Sequence else s
     bounds = [a]
@@ -506,8 +503,6 @@ class StructureShape:
         return LabeledHMM(
             hmm=DiscreteHMM(pi, a, rows),
             edges=tuple(edges) + (None, None),
-            o_s=l,
-            o_f=l + 1,
             labels=labels,
             leaf_states=tuple(range(l)),
         )
@@ -589,8 +584,10 @@ def save_model(model, path):
 
 def load_model(path):
     """Read a model file back, refusing with ValueError a file whose fields
-    disagree with each other or whose output states or edge labels break
-    the rules compiled models keep.
+    disagree with each other or whose output states, edge labels or leaf
+    state labels break the rules compiled models keep. A leaf state's label
+    must be a leaf name the tree file format reads (dsl.LEAF_NAME) and no
+    other leaf state's label, so that decompile writes a file parse accepts.
 
     Transition probabilities are read from the matrix alone. Retry ranges
     are rebuilt from the back edges: a row failing to a state at or before
@@ -647,12 +644,19 @@ def load_model(path):
         edges.append(EdgeLabel(st, ft))
         if ft <= i:
             retry_ends[ft] = i + 1
+    leaf_states = tuple(i for i in range(o_s) if edges[i] is not None)
+    named = {}
+    for i in leaf_states:
+        label = labels[i]
+        if not (isinstance(label, str) and LEAF_NAME.fullmatch(label)):
+            raise ValueError(f"state {i}: label {label!r} is not a leaf name a tree file can hold")
+        if label in named:
+            raise ValueError(f"state {i}: label {label!r} is also the label of state {named[label]}")
+        named[label] = i
     return LabeledHMM(
         hmm=hmm,
         edges=tuple(edges),
-        o_s=o_s,
-        o_f=o_f,
         labels=tuple(labels),
-        leaf_states=tuple(i for i in range(o_s) if edges[i] is not None),
+        leaf_states=leaf_states,
         retry_ranges=tuple(sorted(retry_ends.items())),
     )

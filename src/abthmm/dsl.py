@@ -58,7 +58,10 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+_WORD = r"[^ \t\r\n();]+"
+_TOKEN = re.compile(rf"\n|;[^\n]*|[()]|{_WORD}")
+# A leaf name is one word that does not start with ":", the keyword marker.
+LEAF_NAME = re.compile(rf"(?!:){_WORD}")
 
 
 def _tokenize(text):
@@ -145,7 +148,7 @@ def _parse_node(toks, leaves):
     kind, line, col = toks.pop()
     if kind == "leaf":
         name, line, col = toks.pop()
-        if name in "()" or name.startswith(":"):
+        if not LEAF_NAME.fullmatch(name):
             raise ParseError("leaf needs a name", line, col)
         toks.pop(":ps")
         ps = _number(toks, ":ps")

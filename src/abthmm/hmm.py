@@ -105,7 +105,9 @@ class DiscreteHMM:
         return float(logp[0])
 
     def score_total(self, sequences, weights=None):
-        """Summed log-likelihood over many sequences (fsum, deterministic)."""
+        """Summed log-likelihood over many sequences (fsum, deterministic),
+        each times its weight: one finite, non-negative number a sequence
+        (None: one each)."""
         return self._score_batch(_bucket(_pack(sequences, self.n_symbols), weights))
 
     def _score_batch(self, batch):
@@ -176,6 +178,7 @@ class DiscreteHMM:
     def fit(self, sequences, weights=None):
         """Baum-Welch over a collection of sequences.
 
+        Each sequence counts its weight times (weights as in score_total).
         Identical sequences are merged into weighted ones first, which
         changes nothing about the result but a lot about the run time.
         Structural zeros of transmat are preserved exactly. Sets history_,
@@ -502,12 +505,15 @@ def _bucket(batch, weights=None):
 
     The distinct rows keep the packed order: longest first, then first
     seen. Each row's weight is the sum, in input order, of the weights
-    (given in input order; None: one each) of its copies.
+    (given in input order; None: one each) of its copies. Raises
+    ValueError unless there is one finite, non-negative weight a sequence.
     """
     n_rows = len(batch.lengths)
     weights = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
-    if len(weights) != n_rows:
+    if weights.shape != (n_rows,):
         raise ValueError("weights length does not match sequences")
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ValueError("weights must be finite and non-negative")
     # Copies share a length, so they sit in one run of equal-length rows.
     # Each run is gathered row-major; equal rows have equal bytes, and the
     # dict numbers the distinct ones in first-seen order. (np.unique(axis=0)

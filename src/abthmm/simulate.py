@@ -219,15 +219,13 @@ def randomize_hmm(model, seed):
     )
 
 
-def with_synthetic_emissions(model, ratio, sigma=2.0, n_symbols=None):
+def with_synthetic_emissions(model, ratio):
     """Swap every emission row for the synthetic family at the given ratio.
 
     State i takes row i of the family, so neighboring states are exactly
-    ratio * sigma apart on the symbol axis.
+    ratio * divergence.SIGMA apart on the symbol axis.
     """
-    rows = synth_emissions(
-        SyntheticEmissionSpec(model.n_states, ratio, sigma, n_symbols)
-    )
+    rows = synth_emissions(SyntheticEmissionSpec(model.n_states, ratio))
     return replace(
         model,
         hmm=DiscreteHMM(model.hmm.startprob.copy(), model.hmm.transmat.copy(), rows),
@@ -417,17 +415,16 @@ def _derive(master, *parts):
     return zlib.crc32(text.encode("utf-8"))
 
 
-def sweep_cells(cfg, abt=None):
-    """Yield one SweepCell per grid point.
+def sweep_cells(cfg):
+    """Yield one SweepCell per grid point of the tree file cfg.model.
 
     The dataset and the perturbation signs depend only on the ratio, so
     the perturbation levels within a ratio are directly comparable: they
     scale the same rows in the same directions and are scored on the same
     sequences.
     """
-    if abt is None:
-        with open(cfg.model, "r", encoding="utf-8") as fh:
-            abt = dsl.parse(fh.read())
+    with open(cfg.model, "r", encoding="utf-8") as fh:
+        abt = dsl.parse(fh.read())
     base = compile_abt(abt)
     for ratio in cfg.ratios:
         reference = with_synthetic_emissions(base, ratio)
@@ -443,7 +440,7 @@ def sweep_cells(cfg, abt=None):
             yield SweepCell(float(ratio), pert, reference, start, dataset, cell_seed)
 
 
-def run_sweep(cfg, kind, *, abt=None):
+def run_sweep(cfg, kind):
     """Evaluate every grid cell and return one MetricRow each.
 
     kind picks the measurement: "forward" scores the data under the
@@ -458,7 +455,7 @@ def run_sweep(cfg, kind, *, abt=None):
     # which is checked and packed once for all of them. Taking them by
     # count, not by comparing datasets, keeps the next ratio's dataset
     # from being made before this one's cells are done.
-    grid = sweep_cells(cfg, abt=abt)
+    grid = sweep_cells(cfg)
     while cells := list(itertools.islice(grid, len(cfg.perturbations))):
         dataset, reference = cells[0].dataset, cells[0].reference
         models = [c.start.hmm if isinstance(c.start, LabeledHMM) else c.start for c in cells]

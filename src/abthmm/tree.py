@@ -1,4 +1,4 @@
-"""Behavior tree node types, validation and canonical form.
+"""Behavior tree node types, validation and control flow.
 
 Leaves are numbered depth first, left to right. A tree with l leaves has
 two implicit output states: index l for overall success and l + 1 for
@@ -170,28 +170,6 @@ def _validate_node(node, path, rows):
             _validate_node(c, f"{path}/parallel[{i}]", rows)
     else:
         raise ValueError(f"{path}: unknown node type {type(node).__name__}")
-
-
-def canonicalize(node):
-    """Flatten nested same-kind composites and collapse single-child
-    sequences and selectors. Execution semantics are unchanged."""
-    if isinstance(node, Leaf):
-        return node
-    if isinstance(node, Retry):
-        return Retry(canonicalize(node.child))
-    if isinstance(node, Parallel):
-        return Parallel(tuple(canonicalize(c) for c in node.children), node.threshold)
-    kind = type(node)
-    flat = []
-    for c in node.children:
-        c = canonicalize(c)
-        if isinstance(c, kind):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return kind(tuple(flat))
 
 
 def successor_map(root):

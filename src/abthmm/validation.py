@@ -7,6 +7,7 @@ callers can use the result directly.
 
 import numpy as np
 
+# How far from 1 a probability vector or stochastic row may sum.
 ATOL = 1e-9
 
 # Widest emission alphabet a model may have. Each row of an emission matrix
@@ -27,7 +28,7 @@ def check_symbol_count(count, what):
     return count
 
 
-def check_probability_vector(p, name="p", atol=ATOL):
+def check_probability_vector(p, name="p"):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {p.shape}")
@@ -35,19 +36,19 @@ def check_probability_vector(p, name="p", atol=ATOL):
         raise ValueError(f"{name} is empty")
     if not np.all(p >= 0):
         raise ValueError(f"{name} has negative or NaN entries")
-    if not abs(p.sum() - 1.0) <= atol:
+    if not abs(p.sum() - 1.0) <= ATOL:
         raise ValueError(f"{name} sums to {float(p.sum())}, expected 1")
     return p
 
 
-def check_stochastic_matrix(m, name="matrix", atol=ATOL):
+def check_stochastic_matrix(m, name="matrix"):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
     if not np.all(m >= 0):
         raise ValueError(f"{name} has negative or NaN entries")
     sums = m.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ATOL))
     if bad.size:
         raise ValueError(f"{name} row {bad[0]} sums to {float(sums[bad[0]])}, expected 1")
     return m

@@ -186,6 +186,20 @@ def all_canonical_trees(l, j=8):
         yield ABTDefinition(root, j, uniform_row(j), uniform_row(j))
 
 
+def is_canonical(node):
+    """Whether no sequence or selector in the tree has one child or a child
+    of its own kind, the form decompile returns."""
+    if isinstance(node, Leaf):
+        return True
+    if isinstance(node, Retry):
+        return is_canonical(node.child)
+    if isinstance(node, (Sequence, Selector)) and (
+        len(node.children) == 1 or any(type(c) is type(node) for c in node.children)
+    ):
+        return False
+    return all(is_canonical(c) for c in node.children)
+
+
 def schroder(n):
     """Number of canonical trees with n leaves: 1, 2, 6, 22, 90, 394, ..."""
     vals = [1, 2]

@@ -32,6 +32,7 @@ from abthmm.simulate import (
 from abthmm.tree import ABTDefinition, Leaf, LeafStats, Parallel, Retry, SUCCESS
 
 from conftest import (
+    MODELS,
     brute_forward,
     brute_rollout,
     brute_viterbi,
@@ -67,9 +68,9 @@ def exemplar_dataset(name, abt, model):
     return _DATASETS[name]
 
 
-def grid_cfg(n_sequences):
+def grid_cfg(n_sequences, tree):
     return SweepConfig(
-        model="(in-memory)",
+        model=str(MODELS / f"{tree}.abt"),
         ratios=RATIOS,
         perturbations=PERTS,
         n_sequences=n_sequences,
@@ -188,9 +189,9 @@ def test_criterion_06_forward_and_viterbi_against_exhaustive_search():
     assert elapsed < 30.0
 
 
-def test_criterion_07_refitting_improves_and_respects_zeros(pick_place):
+def test_criterion_07_refitting_improves_and_respects_zeros():
     worst_drop = math.inf
-    for cell in sweep_cells(grid_cfg(1000), abt=pick_place):
+    for cell in sweep_cells(grid_cfg(1000, "pick_place")):
         start = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
         fitted = start.copy()
         fitted.updates = "t"
@@ -202,10 +203,10 @@ def test_criterion_07_refitting_improves_and_respects_zeros(pick_place):
         assert np.all(fitted.transmat[cell.reference.a == 0] == 0)
 
     pin = SweepConfig(
-        model="(in-memory)", ratios=(5.0,), perturbations=(0.0,),
+        model=str(MODELS / "pick_place.abt"), ratios=(5.0,), perturbations=(0.0,),
         n_sequences=EXEMPLAR_RUNS,
     )
-    cell = next(iter(sweep_cells(pin, abt=pick_place)))
+    cell = next(iter(sweep_cells(pin)))
     fitted = cell.start.hmm.copy()
     fitted.updates = "t"
     fitted.fit(cell.dataset.observations())
@@ -214,9 +215,9 @@ def test_criterion_07_refitting_improves_and_respects_zeros(pick_place):
     assert rms < 0.02
 
 
-def test_criterion_08_decoding_error_trends(patrol):
+def test_criterion_08_decoding_error_trends():
     t0 = time.perf_counter()
-    rows = run_sweep(grid_cfg(1000), "viterbi", abt=patrol)
+    rows = run_sweep(grid_cfg(1000, "patrol"), "viterbi")
     by_cell = {(row.ratio, row.perturbation): row.mean_sed for row in rows}
     clean = by_cell[(5.0, 0.0)]
     assert clean < 0.01
@@ -231,9 +232,9 @@ def test_criterion_08_decoding_error_trends(patrol):
     assert elapsed < 300.0
 
 
-def test_criterion_09_likelihood_drops_with_drift(pick_place, patrol):
-    for name, abt in (("pick_place", pick_place), ("patrol", patrol)):
-        rows = run_sweep(grid_cfg(1000), "forward", abt=abt)
+def test_criterion_09_likelihood_drops_with_drift():
+    for name in ("pick_place", "patrol"):
+        rows = run_sweep(grid_cfg(1000, name), "forward")
         by_cell = {(row.ratio, row.perturbation): row.logp_per_seq for row in rows}
         for r in RATIOS:
             path = [by_cell[(r, p)] for p in PERTS]

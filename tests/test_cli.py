@@ -356,6 +356,27 @@ def test_model_files_of_the_wrong_json_shape_are_refused(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and message in err
 
+    # Leaf-state labels that parse would not read back as distinct leaf names.
+    not_a_name = "is not a leaf name a tree file can hold"
+    bad_labels = [
+        ("a b", f"state 0: label 'a b' {not_a_name}"),
+        ("a)", f"state 0: label 'a)' {not_a_name}"),
+        ("a;b", f"state 0: label 'a;b' {not_a_name}"),
+        (":ps", f"state 0: label ':ps' {not_a_name}"),
+        ("", f"state 0: label '' {not_a_name}"),
+        (0, f"state 0: label 0 {not_a_name}"),
+        ("grasp", "state 1: label 'grasp' is also the label of state 0"),
+    ]
+    for label, message in bad_labels:
+        path.write_text(json.dumps({**doc, "labels": [label, *doc["labels"][1:]]}))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == message
+        for command in ("check", "decompile"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n"
+
 
 def test_decompile_refuses_a_start_off_the_first_leaf(tmp_path, capsys):
     path = tmp_path / "pick.json"

@@ -38,7 +38,6 @@ from abthmm.tree import (
     Selector,
     Sequence,
     UnsupportedStructureError,
-    canonicalize,
     successor_map,
     validate_abt,
 )
@@ -49,6 +48,7 @@ from conftest import (
     REPO,
     all_canonical_trees,
     brute_transitions,
+    is_canonical,
     make_leaf,
     random_canonical_tree,
     random_control_tree,
@@ -145,11 +145,11 @@ def test_check_constraints_flags_each_violation():
         [0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0],
     ])
-    assert check_constraints(ok, terminal=(1, 2)).ok
+    assert check_constraints(ok).ok
 
     below = ok.copy()
     below[0] = [0.3, 0.7, 0.0]
-    rep = check_constraints(below, terminal=(1, 2))
+    rep = check_constraints(below)
     assert not rep.upper_diagonal
 
     three = np.array([
@@ -158,7 +158,7 @@ def test_check_constraints_flags_each_violation():
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-    rep = check_constraints(three, terminal=(2, 3))
+    rep = check_constraints(three)
     assert not rep.two_nonzero_per_row
     assert rep.violations and rep.violations[0][0] == 0
 
@@ -168,7 +168,7 @@ def test_check_constraints_flags_each_violation():
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-    rep = check_constraints(skip, terminal=(2, 3))
+    rep = check_constraints(skip)
     assert not rep.superdiagonal_nonzero
 
 
@@ -199,8 +199,9 @@ def test_decompile_round_trips_random_trees():
 
 
 def test_a_900_level_chain_compiles_and_decompiles():
-    # Alternating kinds, so canonicalize keeps every level. Only the labels
-    # are compared: dataclass == on the trees recurses two frames a level.
+    # Alternating kinds, so the tree is canonical and decompile keeps every
+    # level. Only the labels are compared: dataclass == on the trees
+    # recurses two frames a level.
     root = make_leaf(0)
     for k in range(1, 901):
         root = (Sequence if k % 2 else Selector)((make_leaf(k), root))
@@ -264,8 +265,6 @@ def test_decompile_random_labelings_give_their_tree_or_refuse():
         model = LabeledHMM(
             hmm=DiscreteHMM(pi, a, np.full((l + 2, 2), 0.5)),
             edges=tuple(EdgeLabel(st, ft) for st, ft in targets) + (None, None),
-            o_s=l,
-            o_f=l + 1,
             labels=tuple(f"l{i}" for i in range(l)) + ("success", "failure"),
         )
         try:
@@ -275,7 +274,7 @@ def test_decompile_random_labelings_give_their_tree_or_refuse():
             refused += 1
             continue
         accepted += 1
-        assert canonicalize(root) == root
+        assert is_canonical(root)
         assert successor_map(root) == dict(enumerate(targets))
     assert accepted > 0 and refused > 0
 
@@ -295,8 +294,6 @@ def test_decompile_needs_labels(pick_place_model):
     stripped = type(bare)(
         hmm=bare.hmm,
         edges=(None,) * bare.n_states,
-        o_s=bare.o_s,
-        o_f=bare.o_f,
         labels=bare.labels,
     )
     with pytest.raises(InconsistentLabelsError):

@@ -83,7 +83,7 @@ def test_synth_rows_are_distributions():
     assert rows.shape == (6, default_n_symbols(6, 1.0))
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
     assert (rows > 0).all()
-    # peak sits at the integer closest to each center: 8 + 2 i at sigma 2
+    # peak sits at the integer closest to each center: 8 + 2 i with SIGMA = 2
     assert list(rows.argmax(axis=1)) == [8, 10, 12, 14, 16, 18]
 
 
@@ -136,25 +136,13 @@ def test_jsd_all_between_zero_and_log_k(k, j, seed):
 def test_jsd_all_weighted_matches_two_row_jsd():
     rng = np.random.default_rng(4)
     p, q = dirichlet_rows(rng, 2, 8)
-    assert jsd_all([p, q], weights=[0.5, 0.5]) == pytest.approx(
-        js_divergence(p, q), abs=1e-12
-    )
-
-
-def test_jsd_all_rejects_bad_weights():
-    rows = dirichlet_rows(np.random.default_rng(1), 2, 4)
-    with pytest.raises(ValueError):
-        jsd_all(rows, weights=[0.9, 0.9])
-    with pytest.raises(ValueError):
-        jsd_all(rows, weights=[1.0])
+    assert jsd_all([p, q]) == pytest.approx(js_divergence(p, q), abs=1e-12)
 
 
 @pytest.mark.parametrize("field, kwargs", [
     ("ratio", dict(ratio=math.inf)),
     ("ratio", dict(ratio=-math.inf)),
     ("ratio", dict(ratio=math.nan)),
-    ("sigma", dict(ratio=1.0, sigma=math.inf)),
-    ("sigma", dict(ratio=1.0, sigma=math.nan)),
 ])
 def test_synthetic_spec_rejects_non_finite_values(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):

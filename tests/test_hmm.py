@@ -247,6 +247,18 @@ def test_batch_entry_points_take_an_empty_batch():
         m.fit([])
 
 
+@pytest.mark.parametrize("weights", [[3.0, -1.0], [1.0, math.nan], [math.inf, 1.0]])
+def test_weighted_entry_points_refuse_bad_weights(weights):
+    # Unrefused, the negative weight made fit's history_ fall, the NaN one
+    # read as "no sequences to fit" and the infinite one scored -inf.
+    m = tiny_model()
+    for call in (m.score_total, m.fit):
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            call([[0, 1, 1], [1, 0]], weights=weights)
+        with pytest.raises(ValueError, match="^weights length does not match sequences$"):
+            call([[0, 1, 1], [1, 0]], weights=weights[:1])
+
+
 def mixed_length_corpus(model, rng):
     return [s for t in (3, 1, 5, 3, 2, 5, 1, 3) for s in chain_corpus(model, 1, t, rng)]
 

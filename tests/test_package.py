@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from collections import Counter
 
@@ -12,6 +13,16 @@ def test_every_exported_name_resolves_once():
     assert len(abthmm.__all__) == len(set(abthmm.__all__))
     missing = [name for name in abthmm.__all__ if not hasattr(abthmm, name)]
     assert missing == []
+
+
+def test_every_readme_python_block_runs(monkeypatch):
+    # The examples run as a reader would paste them, from the repo root, so
+    # a renamed or deleted name they use fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(REPO)
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
 
 
 def load_spans(monkeypatch):

@@ -46,6 +46,7 @@ from abthmm.tree import (
 )
 
 from conftest import (
+    MODELS,
     REPO,
     brute_estimate_ps,
     brute_perturb,
@@ -549,9 +550,12 @@ def test_sweep_config_rejects_unknown_bw_updates():
 # sweeps
 
 
+PICK_PLACE = str(MODELS / "pick_place.abt")
+
+
 def small_cfg(n=40):
     return SweepConfig(
-        model="unused",
+        model=PICK_PLACE,
         ratios=(0.0, 1.0),
         perturbations=(0.0, 0.25, "random"),
         n_sequences=n,
@@ -559,8 +563,8 @@ def small_cfg(n=40):
     )
 
 
-def test_sweep_cells_grid(pick_place):
-    cells = list(sweep_cells(small_cfg(), abt=pick_place))
+def test_sweep_cells_grid():
+    cells = list(sweep_cells(small_cfg()))
     assert [(c.ratio, c.perturbation) for c in cells] == [
         (0.0, 0.0), (0.0, 0.25), (0.0, "random"),
         (1.0, 0.0), (1.0, 0.25), (1.0, "random"),
@@ -571,8 +575,8 @@ def test_sweep_cells_grid(pick_place):
     assert len({c.seed for c in cells}) == len(cells)
 
 
-def test_sweep_cells_start_models(pick_place):
-    cells = list(sweep_cells(small_cfg(), abt=pick_place))
+def test_sweep_cells_start_models():
+    cells = list(sweep_cells(small_cfg()))
     clean, drifted, noise = cells[3:]
     assert np.array_equal(clean.start.a, clean.reference.a)
     assert not np.array_equal(drifted.start.a, drifted.reference.a)
@@ -583,32 +587,32 @@ def test_sweep_cells_start_models(pick_place):
     assert (noise.start.transmat > 0).all()
 
 
-def test_run_sweep_kinds(pick_place):
+def test_run_sweep_kinds():
     cfg = small_cfg(30)
-    fwd = run_sweep(cfg, "forward", abt=pick_place)
+    fwd = run_sweep(cfg, "forward")
     assert len(fwd) == 6
     for row in fwd:
         assert row.kind == "forward"
         assert row.logp_per_seq < 0
         assert row.mean_sed is None
-    vit = run_sweep(cfg, "viterbi", abt=pick_place)
+    vit = run_sweep(cfg, "viterbi")
     assert all(0 <= row.mean_sed for row in vit)
-    bw = run_sweep(cfg, "bw", abt=pick_place)
+    bw = run_sweep(cfg, "bw")
     for row in bw:
         assert row.rms_error is not None and row.bw_iters >= 1
         assert row.final_logp == pytest.approx(row.logp_per_seq * row.n_seqs)
     with pytest.raises(ValueError, match="unknown sweep kind"):
-        run_sweep(cfg, "backward", abt=pick_place)
+        run_sweep(cfg, "backward")
 
 
-def test_run_sweep_buckets_once_yet_matches_per_cell_calls(pick_place):
+def test_run_sweep_buckets_once_yet_matches_per_cell_calls():
     # run_sweep merges each ratio's dataset once for all its cells; every
     # row must equal what score_total and fit give on the raw sequences.
-    cfg = SweepConfig(model="unused", ratios=(0.0, 0.25, 1.0),
+    cfg = SweepConfig(model=PICK_PLACE, ratios=(0.0, 0.25, 1.0),
                       perturbations=(0.0, 0.25, "random"), n_sequences=120, master_seed=5)
-    fwd = run_sweep(cfg, "forward", abt=pick_place)
-    bw = run_sweep(cfg, "bw", abt=pick_place)
-    cells = list(sweep_cells(cfg, abt=pick_place))
+    fwd = run_sweep(cfg, "forward")
+    bw = run_sweep(cfg, "bw")
+    cells = list(sweep_cells(cfg))
     assert len(fwd) == len(bw) == len(cells) == 9
     for cell, f_row, b_row in zip(cells, fwd, bw):
         model = getattr(cell.start, "hmm", cell.start)
@@ -622,13 +626,13 @@ def test_run_sweep_buckets_once_yet_matches_per_cell_calls(pick_place):
         assert b_row.rms_error == rms_nonzero(cell.reference.a, fitted.transmat)
 
 
-def test_run_sweep_viterbi_matches_per_sequence_decode(pick_place):
+def test_run_sweep_viterbi_matches_per_sequence_decode():
     # run_sweep packs each ratio's symbols and true paths once for all its
     # cells; every row must equal the mean SED of decode_all's paths.
-    cfg = SweepConfig(model="unused", ratios=(0.0, 0.25, 1.0),
+    cfg = SweepConfig(model=PICK_PLACE, ratios=(0.0, 0.25, 1.0),
                       perturbations=(0.0, 0.25, "random"), n_sequences=120, master_seed=5)
-    vit = run_sweep(cfg, "viterbi", abt=pick_place)
-    cells = list(sweep_cells(cfg, abt=pick_place))
+    vit = run_sweep(cfg, "viterbi")
+    cells = list(sweep_cells(cfg))
     assert len(vit) == len(cells) == 9
     for cell, row in zip(cells, vit):
         model = getattr(cell.start, "hmm", cell.start)
@@ -637,23 +641,23 @@ def test_run_sweep_viterbi_matches_per_sequence_decode(pick_place):
         assert row.mean_sed == np.mean([sed(p, t) for p, t in zip(paths, truths)])
 
 
-def test_run_sweep_viterbi_is_unchanged_by_runs_of_rows(monkeypatch, pick_place):
+def test_run_sweep_viterbi_is_unchanged_by_runs_of_rows(monkeypatch):
     # A small budget splits each ratio's decode and SED into many runs of
     # rows; the mean over input order must not move.
-    cfg = SweepConfig(model="unused", ratios=(0.0, 1.0), perturbations=(0.1, "random"),
+    cfg = SweepConfig(model=PICK_PLACE, ratios=(0.0, 1.0), perturbations=(0.1, "random"),
                       n_sequences=90, master_seed=8)
-    whole = run_sweep(cfg, "viterbi", abt=pick_place)
+    whole = run_sweep(cfg, "viterbi")
     calls = []
     sed_batch = simulate._sed_batch
     monkeypatch.setattr(simulate, "_sed_batch", lambda a, b: calls.append(1) or sed_batch(a, b))
     monkeypatch.setattr(hmm_module, "_CHUNK_ELEMENTS", 300)
-    assert run_sweep(cfg, "viterbi", abt=pick_place) == whole
+    assert run_sweep(cfg, "viterbi") == whole
     assert len(calls) > 2 * len(cfg.ratios)  # several runs of rows a ratio
 
 
-def test_run_sweep_perfect_start_scores_best(pick_place):
+def test_run_sweep_perfect_start_scores_best():
     cfg = small_cfg(60)
-    rows = run_sweep(cfg, "forward", abt=pick_place)
+    rows = run_sweep(cfg, "forward")
     by_pert = {row.perturbation: row.logp_per_seq for row in rows if row.ratio == 1.0}
     assert by_pert[0.0] >= by_pert[0.25] >= by_pert["random"]
 

@@ -16,7 +16,6 @@ from abthmm.tree import (
     Sequence,
     TickLimitError,
     UnsupportedStructureError,
-    canonicalize,
     leaves_of,
     successor_map,
     validate_abt,
@@ -100,18 +99,6 @@ def test_leaves_in_depth_first_order(patrol):
     assert names[:4] == ["goto_a", "reroute_a", "scan_a", "rescan_a"]
     assert names[-1] == "report"
     assert len(names) == 14
-
-
-def test_canonicalize_flattens_and_collapses():
-    a, b, c = make_leaf(0), make_leaf(1), make_leaf(2)
-    nested = Sequence((Sequence((a, b)), c))
-    assert canonicalize(nested) == Sequence((a, b, c))
-    assert canonicalize(Selector((Selector((a, b)), c))) == Selector((a, b, c))
-    assert canonicalize(Sequence((a,))) == a
-    mixed = Sequence((a, Selector((b, Selector((c,))))))
-    assert canonicalize(mixed) == Sequence((a, Selector((b, c))))
-    wrapped = Retry(Sequence((Sequence((a, b)),)))
-    assert canonicalize(wrapped) == Retry(Sequence((a, b)))
 
 
 def refused(abt, text):
