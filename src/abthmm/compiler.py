@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import LEAF_NAME
+from .divergence import synth_emissions
 from .hmm import DiscreteHMM
 from .tree import (
     ABTDefinition,
     FAILURE,
+    LEAF_NAME,
     Leaf,
     LeafStats,
     SUCCESS,
@@ -320,29 +321,21 @@ class ConstraintReport:
 
 
 def check_constraints(model):
-    """Check the transition-matrix shape every plain compiled tree has.
+    """Check the transition-matrix shape every plain compiled tree has, on
+    a LabeledHMM.
 
     Three checks over every row but the last two, the outputs: no mass at
     or below the diagonal, exactly two outgoing transitions, and a
-    non-empty transition to the next state. Accepts a labeled model
-    (checked through its edge labels, so probability-zero edges still
-    count) or a square matrix.
+    non-empty transition to the next state. A labeled row is read from its
+    edge label, so probability-zero edges still count; an unlabeled row (a
+    parallel block's product state) from the non-zeros of its matrix row.
     """
-    edges = None
-    if isinstance(model, LabeledHMM):
-        edges = model.edges
-        matrix = model.hmm.transmat
-    else:
-        matrix = np.asarray(model, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {matrix.shape}")
     report = ConstraintReport()
-    for i in range(matrix.shape[0] - 2):
-        if edges is not None and edges[i] is not None:
-            e = edges[i]
+    for i, e in enumerate(model.edges[:-2]):
+        if e is not None:
             cols = sorted({e.succ_target, e.fail_target})
         else:
-            cols = list(np.nonzero(matrix[i])[0])
+            cols = list(np.nonzero(model.hmm.transmat[i])[0])
         if any(c <= i for c in cols):
             report.upper_diagonal = False
             report.violations.append((i, f"mass at or below the diagonal: {cols}"))
@@ -483,11 +476,9 @@ class StructureShape:
     def to_labeled(self, ps=0.5):
         """Materialize the shape as a labeled model with every success
         probability set to ps and synthetic emission rows."""
-        from .divergence import SyntheticEmissionSpec, synth_emissions
-
         l = self.n_leaves
         n = l + 2
-        rows = synth_emissions(SyntheticEmissionSpec(n, 1.0))
+        rows = synth_emissions(n, 1.0)
         a = np.zeros((n, n))
         edges = []
         for i, (orient, far) in enumerate(self.rows):
@@ -586,7 +577,7 @@ def load_model(path):
     """Read a model file back, refusing with ValueError a file whose fields
     disagree with each other or whose output states, edge labels or leaf
     state labels break the rules compiled models keep. A leaf state's label
-    must be a leaf name the tree file format reads (dsl.LEAF_NAME) and no
+    must be a leaf name the tree file format reads (tree.LEAF_NAME) and no
     other leaf state's label, so that decompile writes a file parse accepts.
 
     Transition probabilities are read from the matrix alone. Retry ranges

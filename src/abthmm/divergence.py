@@ -8,7 +8,6 @@ every row identical, 5 makes them essentially disjoint.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,55 +66,39 @@ def jsd_all(rows):
     return float(sum(w * kl_divergence(r, mix) for r in rows))
 
 
-@dataclass(frozen=True)
-class SyntheticEmissionSpec:
-    n_states: int
-    ratio: float
-    n_symbols: int = None
-
-    def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("n_states must be positive")
-        if not math.isfinite(self.ratio):
-            raise ValueError(f"ratio must be finite, got {self.ratio}")
-        if self.ratio < 0:
-            raise ValueError("ratio must be non-negative")
-
-
-def default_n_symbols(n_states, ratio):
-    """Alphabet size that comfortably fits all centers plus margins.
-
-    Raises SymbolCapError when the centers alone span more than SYMBOL_CAP.
-    """
-    span = check_symbol_count((n_states + 1) * ratio * SIGMA,
-                              f"a synthetic family of {n_states} rows at ratio {ratio}")
-    return max(16, math.ceil(span) + 8 * math.ceil(SIGMA))
-
-
-def synth_emissions(spec):
-    """Build the synthetic emission matrix for a spec, one row per state.
+def synth_emissions(n_states, ratio, n_symbols=None):
+    """Build the synthetic emission matrix, one row per state.
 
     Row i is a discretized Gaussian centered at 4*SIGMA + i*ratio*SIGMA with
     standard deviation SIGMA/2, floored at a tiny positive value and
-    normalized over the alphabet. Raises ValueError when the alphabet cannot
-    hold all centers with a 4*SIGMA margin on both sides, and SymbolCapError
-    before allocating when it or the span it needs exceeds SYMBOL_CAP.
+    normalized over the alphabet. Without n_symbols the alphabet is
+    max(16, ceil((n_states + 1)*ratio*SIGMA) + 8*ceil(SIGMA)) symbols.
+    Raises ValueError when n_states is not positive, the ratio is negative
+    or not finite, or the alphabet cannot hold all centers with a 4*SIGMA
+    margin on both sides, and SymbolCapError before allocating when it or
+    the span it needs exceeds SYMBOL_CAP.
     """
-    n = spec.n_states
-    j = spec.n_symbols
+    n, j = n_states, n_symbols
+    if n < 1:
+        raise ValueError("n_states must be positive")
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio}")
+    if ratio < 0:
+        raise ValueError("ratio must be non-negative")
+    what = f"a synthetic family of {n} rows at ratio {ratio}"
     if j is None:
-        j = default_n_symbols(n, spec.ratio)
+        span = check_symbol_count((n + 1) * ratio * SIGMA, what)
+        j = max(16, math.ceil(span) + 8 * math.ceil(SIGMA))
     check_symbol_count(j, "the synthetic alphabet")
     offset = 4.0 * SIGMA
-    span = 2 * offset + (n - 1) * spec.ratio * SIGMA
-    what = f"a synthetic family of {n} rows at ratio {spec.ratio}"
+    span = 2 * offset + (n - 1) * ratio * SIGMA
     needed = math.ceil(check_symbol_count(span, what))
     if j < needed:
         raise ValueError(
             f"alphabet of {j} symbols is too small for {n} rows at "
-            f"ratio {spec.ratio} (needs at least {needed})"
+            f"ratio {ratio} (needs at least {needed})"
         )
-    centers = offset + np.arange(n) * spec.ratio * SIGMA
+    centers = offset + np.arange(n) * ratio * SIGMA
     width = SIGMA / 2.0
     idx = np.arange(j, dtype=np.float64)
     rows = np.exp(-((idx[None, :] - centers[:, None]) ** 2) / (2.0 * width**2))
@@ -131,7 +114,7 @@ def divergence_table(sizes, ratios):
     out = []
     for ratio in ratios:
         for n in sizes:
-            rows = synth_emissions(SyntheticEmissionSpec(n, ratio))
+            rows = synth_emissions(n, ratio)
             out.append(
                 (
                     float(ratio),

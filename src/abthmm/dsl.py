@@ -39,7 +39,9 @@ import re
 
 from . import divergence
 from .tree import (
+    _WORD,
     ABTDefinition,
+    LEAF_NAME,
     Leaf,
     LeafStats,
     Parallel,
@@ -58,10 +60,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_WORD = r"[^ \t\r\n();]+"
 _TOKEN = re.compile(rf"\n|;[^\n]*|[()]|{_WORD}")
-# A leaf name is one word that does not start with ":", the keyword marker.
-LEAF_NAME = re.compile(rf"(?!:){_WORD}")
 
 
 def _tokenize(text):
@@ -216,20 +215,18 @@ def parse(text):
         outputs = (("gauss", total), ("gauss", total + 1))
     dists = [dist for _, _, dist in leaves] + list(outputs)
     n_symbols = alphabet or next((len(d[1]) for d in dists if d[0] == "table"), None)
-    if n_symbols is None:
-        n_symbols = divergence.default_n_symbols(n_states, ratio)
 
     synth = None
     if any(d[0] == "gauss" for d in dists):
-        spec = divergence.SyntheticEmissionSpec(
-            n_states=n_states, ratio=ratio, n_symbols=n_symbols
-        )
         try:
-            synth = divergence.synth_emissions(spec)
+            synth = divergence.synth_emissions(n_states, ratio, n_symbols)
         except SymbolCapError:
             raise
         except ValueError as err:
             raise ParseError(f"cannot build synthetic rows: {err}")
+        # The rows have n_symbols columns, or the family's default alphabet
+        # when neither (alphabet) nor a table fixed it.
+        n_symbols = synth.shape[1]
 
     def resolve(dist, default_idx):
         if dist[0] == "table":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsl
 from .compiler import LabeledHMM, compile_abt
-from .divergence import SyntheticEmissionSpec, synth_emissions
+from .divergence import synth_emissions
 from .hmm import DiscreteHMM, _Packed, _bucket, _sample_batch, _viterbi_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
 from .validation import check_observations, check_updates
@@ -45,25 +45,6 @@ class Dataset:
     def __init__(self, states, obs, ends, outcomes):
         self.states, self.obs, self.ends = (_read_only(a) for a in (states, obs, ends))
         self.outcomes = tuple(outcomes)
-
-    @classmethod
-    def from_runs(cls, runs):
-        """A dataset holding the given Runs, in order."""
-        runs = list(runs)
-        return cls._of([r.states for r in runs], [r.obs for r in runs],
-                       [r.outcome for r in runs])
-
-    @classmethod
-    def _of(cls, states, obs, outcomes):
-        """A dataset from per-run sequences of states and of symbols (ints,
-        or their decimal text)."""
-        states, lengths = _flat(states)
-        obs, obs_lengths = _flat(obs)
-        bad = np.flatnonzero(lengths != obs_lengths)
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"run {i} has {lengths[i]} states but {obs_lengths[i]} symbols")
-        return cls(states, obs, np.cumsum(lengths), outcomes)
 
     def __len__(self):
         return len(self.ends)
@@ -95,12 +76,6 @@ def _read_only(values):
     values = np.asarray(values, dtype=np.int64)
     values.flags.writeable = False
     return values
-
-
-def _flat(seqs):
-    """Sequences back to back as one int64 array, and their lengths."""
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    return np.array(list(itertools.chain.from_iterable(seqs)), dtype=np.int64), lengths
 
 
 def rollout_dataset(abt, n, seed, *, model=None):
@@ -170,37 +145,33 @@ def estimate_ps(dataset, model):
 # model perturbation
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    p_tilde: float
-    seed: int = 0
+def perturb_hmm(model, p_tilde, seed=0):
+    """Scale the first transition of every leaf row of a labeled model by
+    (1 +- p_tilde), p_tilde in [0, 0.5], and return the result as a new
+    labeled model.
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_tilde <= 0.5):
-            raise ValueError(f"p_tilde {self.p_tilde} outside [0, 0.5]")
-
-
-def perturb_hmm(model, spec):
-    """Scale the first transition of every leaf row by (1 +- p_tilde).
-
-    The sign is drawn per row; the first (lowest column) non-zero entry is
-    scaled and clamped to [0.05, 0.95], and the row's other entry takes the
-    complement. Zero pattern, targets, emissions and start vector stay as
-    they are. p_tilde of zero returns an unchanged copy.
+    The sign of each row is drawn from a generator seeded with seed; the
+    first (lowest column) non-zero entry is scaled and clamped to
+    [0.05, 0.95], and the row's other entry takes the complement. Zero
+    pattern, targets, emissions and start vector stay as they are. p_tilde
+    of zero returns an unchanged copy. Raises ValueError for p_tilde
+    outside [0, 0.5].
     """
+    if not (0.0 <= p_tilde <= 0.5):
+        raise ValueError(f"p_tilde {p_tilde} outside [0, 0.5]")
     new = replace(model, hmm=model.hmm.copy())
-    if spec.p_tilde == 0.0:
+    if p_tilde == 0.0:
         return new
     a = new.hmm.transmat
     rows = np.flatnonzero([e is not None for e in model.edges])
     # One sign per labeled row, in row order, drawn even for a row that is
     # then skipped for not having exactly two non-zeros.
-    signs = 2.0 * np.random.default_rng(spec.seed).integers(0, 2, size=len(rows)) - 1.0
+    signs = 2.0 * np.random.default_rng(seed).integers(0, 2, size=len(rows)) - 1.0
     at, cols = np.nonzero(a[rows] != 0)  # the labeled rows' non-zeros, row by row
     two = np.bincount(at, minlength=len(rows)) == 2
     rows, signs, cols = rows[two], signs[two], cols[two[at]]
     c1, c2 = cols[0::2], cols[1::2]  # each kept row's two columns, ascending
-    p1 = np.clip((1.0 + spec.p_tilde * signs) * a[rows, c1], 0.05, 0.95)
+    p1 = np.clip((1.0 + p_tilde * signs) * a[rows, c1], 0.05, 0.95)
     a[rows, c1] = p1
     a[rows, c2] = 1.0 - p1
     return new
@@ -225,7 +196,7 @@ def with_synthetic_emissions(model, ratio):
     State i takes row i of the family, so neighboring states are exactly
     ratio * divergence.SIGMA apart on the symbol axis.
     """
-    rows = synth_emissions(SyntheticEmissionSpec(model.n_states, ratio))
+    rows = synth_emissions(model.n_states, ratio)
     return replace(
         model,
         hmm=DiscreteHMM(model.hmm.startprob.copy(), model.hmm.transmat.copy(), rows),
@@ -345,7 +316,8 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Read a flat key=value config file; unknown keys are an error."""
+        """Read a flat key=value config file; unknown keys are an error, and
+        so is a value its key cannot parse, named as "<path>: <key>: ..."."""
         values = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -361,7 +333,13 @@ class SweepConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "model" not in values:
             raise ValueError("config needs a model=<path> line")
-        return cls(**{key: _CONFIG_PARSERS[key](text) for key, text in values.items()})
+        parsed = {}
+        for key, text in values.items():
+            try:
+                parsed[key] = _CONFIG_PARSERS[key](text)
+            except ValueError as err:
+                raise ValueError(f"{path}: {key}: {err}") from None
+        return cls(**parsed)
 
 
 def _perturbation(text):
@@ -405,7 +383,7 @@ class SweepCell:
     ratio: float
     perturbation: object
     reference: LabeledHMM
-    start: object  # LabeledHMM or DiscreteHMM for the random baseline
+    start: DiscreteHMM  # the drifted reference, or the random baseline
     dataset: Dataset
     seed: int
 
@@ -436,7 +414,7 @@ def sweep_cells(cfg):
             if pert == "random":
                 start = randomize_hmm(reference, cell_seed)
             else:
-                start = perturb_hmm(reference, PerturbationSpec(float(pert), sign_seed))
+                start = perturb_hmm(reference, float(pert), sign_seed).hmm
             yield SweepCell(float(ratio), pert, reference, start, dataset, cell_seed)
 
 
@@ -458,7 +436,7 @@ def run_sweep(cfg, kind):
     grid = sweep_cells(cfg)
     while cells := list(itertools.islice(grid, len(cfg.perturbations))):
         dataset, reference = cells[0].dataset, cells[0].reference
-        models = [c.start.hmm if isinstance(c.start, LabeledHMM) else c.start for c in cells]
+        models = [c.start for c in cells]
         lengths = dataset.lengths
         batch = _Packed.of(check_observations(dataset.obs, reference.n_symbols), lengths)
         if kind == "viterbi":
@@ -568,16 +546,64 @@ def _joined(dataset, flat):
 
 
 def read_dataset(path):
-    """A dataset from a file written by write_dataset."""
+    """A dataset from a file written by write_dataset.
+
+    Raises ValueError naming the file and the line of the first row that
+    holds no run: too few columns, a state or symbol that is not an int64,
+    no visits, fewer or more symbols than states, or an outcome other than
+    S and F.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [row for row in reader if row]  # skip blank lines
-    columns = {}
+    cols = []
     for name in ("states", "obs", "outcome"):
         if name not in header:
             raise ValueError(f"{path} has no {name!r} column")
-        i = header.index(name)
-        columns[name] = [row[i] for row in rows]
-    return Dataset._of(list(map(str.split, columns["states"])),
-                       list(map(str.split, columns["obs"])), columns["outcome"])
+        cols.append(header.index(name))
+    try:
+        return _dataset_of(rows, cols)
+    except ValueError:
+        pass
+    # Only now is the file read again, numbering its lines, to name the
+    # first bad row: a good file does not pay for the numbering.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in filter(None, reader):
+            try:
+                _dataset_of([row], cols)
+            except ValueError as err:
+                raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    raise ValueError(f"{path} changed while it was read")
+
+
+def _dataset_of(rows, cols):
+    """A dataset from CSV rows holding a run's space-separated states, its
+    symbols and its outcome in the columns cols."""
+    try:
+        # One column at a time, so that its words are freed before the next.
+        (states, lengths), (obs, obs_lengths) = (_flat([row[c].split() for row in rows])
+                                                 for c in cols[:2])
+        outcomes = [row[cols[2]] for row in rows]
+    except IndexError:
+        raise ValueError(f"a row has fewer than {max(cols) + 1} columns") from None
+    except OverflowError:
+        raise ValueError("a state or symbol is outside the int64 range") from None
+    if not lengths.all():
+        raise ValueError("a run has no visits")
+    bad = np.flatnonzero(lengths != obs_lengths)
+    if bad.size:
+        raise ValueError(f"{lengths[bad[0]]} states but {obs_lengths[bad[0]]} symbols")
+    if not set(outcomes) <= {SUCCESS, FAILURE}:
+        other = next(o for o in outcomes if o not in (SUCCESS, FAILURE))
+        raise ValueError(f"outcome {other!r} is neither {SUCCESS!r} nor {FAILURE!r}")
+    return Dataset(states, obs, np.cumsum(lengths), outcomes)
+
+
+def _flat(words):
+    """Runs of decimal words back to back as one int64 array, and the runs'
+    lengths."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    return np.array(list(itertools.chain.from_iterable(words)), dtype=np.int64), lengths

@@ -5,6 +5,7 @@ two implicit output states: index l for overall success and l + 1 for
 overall failure.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -14,6 +15,11 @@ SUCCESS = "S"
 FAILURE = "F"
 
 VISIT_CAP = 10_000
+
+# One word of the tree file format, and a leaf name: one word that does
+# not start with ":", the keyword marker.
+_WORD = r"[^ \t\r\n();]+"
+LEAF_NAME = re.compile(rf"(?!:){_WORD}")
 
 
 class TickLimitError(RuntimeError):
@@ -116,9 +122,10 @@ def validate_abt(abt):
     """Raise ValueError("<path>: <message>") on the first broken rule of a
     tree, checking in this order: the alphabet size; the nodes depth first
     (leaf ps in [0, 1], composite and parallel arity, parallel threshold in
-    (0, 1], node type); the emission rows, first their lengths and then their
-    entries, leaves depth first and then the two outputs; and leaf names,
-    which must be unique. A tree that passes is accepted by the compiler."""
+    (0, 1], node type, leaf name a string matching LEAF_NAME); the emission
+    rows, first their lengths and then their entries, leaves depth first and
+    then the two outputs; and leaf names, which must be unique. A tree that
+    passes is accepted by the compiler and written back by dsl.serialize."""
     if abt.n_symbols < 1:
         raise ValueError(f"alphabet size must be positive, got {abt.n_symbols}")
     rows = []
@@ -152,6 +159,8 @@ def _validate_node(node, path, rows):
     if isinstance(node, Leaf):
         if not (0.0 <= node.stats.ps <= 1.0):
             raise ValueError(f"{path}: ps={node.stats.ps} outside [0, 1]")
+        if not (isinstance(node.name, str) and LEAF_NAME.fullmatch(node.name)):
+            raise ValueError(f"{path}: leaf name {node.name!r} is not a name a tree file can hold")
         rows.append((f"{path}:{node.name}", node.stats.emission))
     elif isinstance(node, _COMPOSITES):
         kind = type(node).__name__.lower()

@@ -10,7 +10,7 @@ import pytest
 
 from abthmm import compile_abt, parse
 from abthmm.hmm import DiscreteHMM
-from abthmm.simulate import Dataset, Run
+from abthmm.simulate import Dataset
 from abthmm.tree import (
     FAILURE,
     SUCCESS,
@@ -59,6 +59,10 @@ MALFORMED_TREES = [
         f"{_TWO} (selector (leaf a :ps 0.5 :emit (table 0.5 0.5))\n"
         "  (leaf b :ps 0.5 :emit (table -nan 0.5)))",
         "line 2, col 32: table entry must be finite",
+    ),
+    (
+        "(ratio -1) (selector (leaf a :ps 0.5 :emit (gauss)) (leaf b :ps 0.5 :emit (gauss)))",
+        "cannot build synthetic rows: ratio must be non-negative",
     ),
 ]
 
@@ -472,8 +476,19 @@ def brute_rollout(abt, n, seed, *, model=None):
         terminal = model.o_s if outcome == SUCCESS else model.o_f
         states.append(terminal)
         obs.append(draw_index(cdf[terminal], rng))
-        runs.append(Run(tuple(states), tuple(obs), outcome))
-    return Dataset.from_runs(runs)
+        runs.append((states, obs, outcome))
+    return dataset_of(runs)
+
+
+def dataset_of(runs):
+    """A Dataset holding runs given as (states, obs, outcome) triples, in
+    order, built through the flat constructor the sampler's output takes."""
+    return Dataset(
+        [q for states, _, _ in runs for q in states],
+        [o for _, obs, _ in runs for o in obs],
+        np.cumsum([len(states) for states, _, _ in runs]),
+        [outcome for _, _, outcome in runs],
+    )
 
 
 def brute_transitions(abt, model):
@@ -563,14 +578,14 @@ def brute_estimate_ps(dataset, model):
     return ps_hat, counts
 
 
-def brute_perturb(model, spec):
+def brute_perturb(model, p_tilde, seed):
     """perturb_hmm as a per-row loop: one scalar sign draw per labeled row,
     then the row's first non-zero scaled and clamped and its second set to
     the complement, when the row has exactly two non-zeros."""
     new = replace(model, hmm=model.hmm.copy())
-    if spec.p_tilde == 0.0:
+    if p_tilde == 0.0:
         return new
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     a = new.hmm.transmat
     for i in range(model.n_states):
         if model.edges[i] is None:
@@ -580,7 +595,7 @@ def brute_perturb(model, spec):
         if cols.size != 2:
             continue
         c1, c2 = int(cols[0]), int(cols[1])
-        p1 = float(np.clip((1.0 + spec.p_tilde * r) * a[i, c1], 0.05, 0.95))
+        p1 = float(np.clip((1.0 + p_tilde * r) * a[i, c1], 0.05, 0.95))
         a[i, c1] = p1
         a[i, c2] = 1.0 - p1
     return new

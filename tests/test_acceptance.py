@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from abthmm.compiler import (
-    LabeledHMM,
     check_constraints,
     compile_abt,
     count_bts,
@@ -192,8 +191,7 @@ def test_criterion_06_forward_and_viterbi_against_exhaustive_search():
 def test_criterion_07_refitting_improves_and_respects_zeros():
     worst_drop = math.inf
     for cell in sweep_cells(grid_cfg(1000, "pick_place")):
-        start = cell.start.hmm if isinstance(cell.start, LabeledHMM) else cell.start
-        fitted = start.copy()
+        fitted = cell.start.copy()
         fitted.updates = "t"
         fitted.fit(cell.dataset.observations())
         steps = np.diff(fitted.history_)
@@ -207,7 +205,7 @@ def test_criterion_07_refitting_improves_and_respects_zeros():
         n_sequences=EXEMPLAR_RUNS,
     )
     cell = next(iter(sweep_cells(pin)))
-    fitted = cell.start.hmm.copy()
+    fitted = cell.start.copy()
     fitted.updates = "t"
     fitted.fit(cell.dataset.observations())
     rms = rms_nonzero(cell.reference.a, fitted.transmat)

@@ -139,35 +139,49 @@ def test_compiled_emissions_stack_leaves_then_outputs(pick_place, pick_place_mod
 # constraint checking
 
 
+def labeled_chain(a, edges):
+    """A LabeledHMM over the transition matrix a whose rows before the two
+    outputs carry edges: an EdgeLabel, or None for an unlabeled row."""
+    n = len(a)
+    return LabeledHMM(
+        DiscreteHMM(np.eye(n)[0], a, np.ones((n, 1))),
+        edges=tuple(edges) + (None, None),
+        labels=tuple(f"l{i}" for i in range(n - 2)) + ("success", "failure"),
+    )
+
+
 def test_check_constraints_flags_each_violation():
-    ok = np.array([
+    ok = labeled_chain([
         [0.0, 0.7, 0.3],
         [0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0],
-    ])
+    ], [EdgeLabel(1, 2)])
     assert check_constraints(ok).ok
 
-    below = ok.copy()
-    below[0] = [0.3, 0.7, 0.0]
+    below = labeled_chain([
+        [0.3, 0.7, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
+    ], [EdgeLabel(1, 0)])
     rep = check_constraints(below)
     assert not rep.upper_diagonal
 
-    three = np.array([
+    three = labeled_chain([
         [0.0, 0.5, 0.25, 0.25],
         [0.0, 0.0, 0.5, 0.5],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ])
+    ], [None, EdgeLabel(2, 3)])
     rep = check_constraints(three)
     assert not rep.two_nonzero_per_row
     assert rep.violations and rep.violations[0][0] == 0
 
-    skip = np.array([
+    skip = labeled_chain([
         [0.0, 0.0, 0.6, 0.4],
         [0.0, 0.0, 0.5, 0.5],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ])
+    ], [EdgeLabel(2, 3), EdgeLabel(2, 3)])
     rep = check_constraints(skip)
     assert not rep.superdiagonal_nonzero
 

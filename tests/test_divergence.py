@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abthmm.divergence import (
-    SyntheticEmissionSpec,
-    default_n_symbols,
     divergence_table,
     jsd_all,
     js_divergence,
@@ -44,7 +42,7 @@ def test_kl_infinite_off_support():
 
 def test_frozen_grid_n6():
     for ratio, kld, jsd, all6 in zip(RATIOS, KLD_6, JSD_6, JSD_ALL_6):
-        rows = synth_emissions(SyntheticEmissionSpec(6, ratio))
+        rows = synth_emissions(6, ratio)
         assert kl_divergence(rows[0], rows[1]) == pytest.approx(kld, rel=1e-12, abs=1e-12)
         assert js_divergence(rows[0], rows[1]) == pytest.approx(jsd, rel=1e-12, abs=1e-12)
         assert jsd_all(rows) == pytest.approx(all6, rel=1e-12, abs=1e-12)
@@ -52,12 +50,12 @@ def test_frozen_grid_n6():
 
 def test_frozen_grid_n16():
     for ratio, all16 in zip(RATIOS, JSD_ALL_16):
-        rows = synth_emissions(SyntheticEmissionSpec(16, ratio))
+        rows = synth_emissions(16, ratio)
         assert jsd_all(rows) == pytest.approx(all16, rel=1e-12, abs=1e-12)
 
 
 def test_identical_rows_give_exact_zeros():
-    rows = synth_emissions(SyntheticEmissionSpec(6, 0.0))
+    rows = synth_emissions(6, 0.0)
     assert kl_divergence(rows[0], rows[1]) == 0.0
     assert js_divergence(rows[0], rows[1]) == 0.0
     assert jsd_all(rows) == 0.0
@@ -67,7 +65,7 @@ def test_divergences_increase_with_ratio():
     for n in (6, 16):
         klds, jsds, alls = [], [], []
         for ratio in RATIOS:
-            rows = synth_emissions(SyntheticEmissionSpec(n, ratio))
+            rows = synth_emissions(n, ratio)
             klds.append(kl_divergence(rows[0], rows[1]))
             jsds.append(js_divergence(rows[0], rows[1]))
             alls.append(jsd_all(rows))
@@ -79,8 +77,8 @@ def test_divergences_increase_with_ratio():
 
 
 def test_synth_rows_are_distributions():
-    rows = synth_emissions(SyntheticEmissionSpec(6, 1.0))
-    assert rows.shape == (6, default_n_symbols(6, 1.0))
+    rows = synth_emissions(6, 1.0)
+    assert rows.shape == (6, 30)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
     assert (rows > 0).all()
     # peak sits at the integer closest to each center: 8 + 2 i with SIGMA = 2
@@ -89,20 +87,20 @@ def test_synth_rows_are_distributions():
 
 def test_synth_rows_too_small_alphabet():
     with pytest.raises(ValueError) as err:
-        synth_emissions(SyntheticEmissionSpec(6, 1.0, n_symbols=16))
+        synth_emissions(6, 1.0, n_symbols=16)
     assert "too small" in str(err.value)
     assert "26" in str(err.value)
 
 
 def test_synth_rows_refuse_a_span_past_the_symbol_cap_in_a_given_alphabet():
     with pytest.raises(SymbolCapError, match=f"needs inf symbols, more than the cap of {SYMBOL_CAP}"):
-        synth_emissions(SyntheticEmissionSpec(3, 1e308, n_symbols=100))
+        synth_emissions(3, 1e308, n_symbols=100)
 
 
 def test_default_n_symbols_floor():
-    assert default_n_symbols(6, 0.0) == 16
-    assert default_n_symbols(6, 1.0) == 30
-    assert default_n_symbols(16, 5.0) == 186
+    assert synth_emissions(6, 0.0).shape[1] == 16
+    assert synth_emissions(6, 1.0).shape[1] == 30
+    assert synth_emissions(16, 5.0).shape[1] == 186
 
 
 def test_divergence_table_layout():
@@ -146,4 +144,4 @@ def test_jsd_all_weighted_matches_two_row_jsd():
 ])
 def test_synthetic_spec_rejects_non_finite_values(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        SyntheticEmissionSpec(6, **kwargs)
+        synth_emissions(6, **kwargs)

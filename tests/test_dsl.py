@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abthmm.divergence import SyntheticEmissionSpec, default_n_symbols, synth_emissions
+from abthmm.divergence import synth_emissions
 from abthmm.dsl import ParseError, parse, serialize
 from abthmm.tree import FAILURE, Leaf, Retry, SUCCESS, Selector, Sequence
 
@@ -43,9 +43,8 @@ def test_parse_gauss_emissions_use_ratio():
           (leaf b :ps 0.5 :emit (gauss)))
     """)
     n_states = abt.n_leaves + 2
-    j = default_n_symbols(n_states, 2.5)
-    assert abt.n_symbols == j
-    rows = synth_emissions(SyntheticEmissionSpec(n_states, 2.5, n_symbols=j))
+    rows = synth_emissions(n_states, 2.5)
+    assert abt.n_symbols == rows.shape[1] == 41
     assert abt.leaves[0].stats.emission == tuple(rows[0])
     assert abt.leaves[1].stats.emission == tuple(rows[1])
     assert abt.out_success == tuple(rows[2])

@@ -12,9 +12,7 @@ from abthmm.compiler import compile_abt
 from abthmm.hmm import DiscreteHMM, _Packed
 from abthmm.simulate import (
     METRIC_COLUMNS,
-    Dataset,
     MetricRow,
-    PerturbationSpec,
     Run,
     SweepConfig,
     estimate_ps,
@@ -53,6 +51,7 @@ from conftest import (
     brute_rollout,
     brute_sample,
     brute_sed,
+    dataset_of,
     uniform_row,
 )
 
@@ -193,7 +192,6 @@ def test_dataset_is_flat_and_builds_runs_on_demand(pick_place):
     d = rollout_dataset(pick_place, 30, seed=4)
     runs = d.runs
     assert len(d) == 30 and d.runs is not runs  # built again, not cached
-    assert Dataset.from_runs(runs).runs == runs
     assert [o.tolist() for o in d.observations()] == [list(r.obs) for r in runs]
     assert [s.tolist() for s in d.state_paths()] == [list(r.states) for r in runs]
     assert all(o.dtype == np.int64 for o in d.observations() + d.state_paths())
@@ -201,8 +199,6 @@ def test_dataset_is_flat_and_builds_runs_on_demand(pick_place):
     for flat in (d.states, d.obs, d.observations()[0], d.state_paths()[0]):
         with pytest.raises(ValueError, match="read-only"):
             flat[0] = 1
-    with pytest.raises(ValueError, match="run 1 has 2 states but 1 symbols"):
-        Dataset.from_runs([Run((0,), (0,), SUCCESS), Run((0, 1), (0,), SUCCESS)])
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +216,7 @@ def test_estimate_ps_recovers_leaf_rates(pick_place, pick_place_model):
 
 
 def test_estimate_ps_rejects_foreign_transitions(pick_place_model):
-    alien = Dataset.from_runs([Run((0, 3, 4), (0, 0, 0), SUCCESS)])
+    alien = dataset_of([((0, 3, 4), (0, 0, 0), SUCCESS)])
     with pytest.raises(ValueError, match="matches neither outcome"):
         estimate_ps(alien, pick_place_model)
 
@@ -242,7 +238,7 @@ def test_estimate_ps_matches_the_per_run_loop(tree, request):
         assert 0 < np.count_nonzero(want_counts == 0) < len(want_counts)  # the block's leaves
     # Runs cut before their output state end on a leaf; the next run's first
     # visit does not classify it.
-    cut = Dataset.from_runs([Run(r.states[:-1], r.obs[:-1], r.outcome) for r in data.runs])
+    cut = dataset_of([(r.states[:-1], r.obs[:-1], r.outcome) for r in data.runs])
     got, got_counts = estimate_ps(cut, model)
     want, want_counts = brute_estimate_ps(cut, model)
     np.testing.assert_array_equal(got, want)
@@ -251,8 +247,8 @@ def test_estimate_ps_matches_the_per_run_loop(tree, request):
 
 def test_estimate_ps_raises_the_per_run_loops_first_error(pick_place, pick_place_model):
     m = pick_place_model
-    runs = rollout_dataset(pick_place, 20, seed=2, model=m).runs
-    alien = Run((0, 3, 4), (0, 0, 0), SUCCESS)  # 0 -> 3 is neither of state 0's targets
+    runs = [(r.states, r.obs, r.outcome) for r in rollout_dataset(pick_place, 20, seed=2, model=m).runs]
+    alien = ((0, 3, 4), (0, 0, 0), SUCCESS)  # 0 -> 3 is neither of state 0's targets
     no_grasp_labels = replace(m, edges=m.edges[:1] + (None,) + m.edges[2:])
     cases = (
         (runs, no_grasp_labels, "state 1 has no edge labels"),
@@ -261,7 +257,7 @@ def test_estimate_ps_raises_the_per_run_loops_first_error(pick_place, pick_place
         (runs + [alien], no_grasp_labels, "state 1 has no edge labels"),
     )
     for runs_, model, message in cases:
-        data = Dataset.from_runs(runs_)
+        data = dataset_of(runs_)
         for estimate in (estimate_ps, brute_estimate_ps):
             with pytest.raises(ValueError) as err:
                 estimate(data, model)
@@ -272,17 +268,17 @@ def test_estimate_ps_raises_the_per_run_loops_first_error(pick_place, pick_place
 # perturbations
 
 
-def test_perturbation_spec_range():
-    PerturbationSpec(0.0)
-    PerturbationSpec(0.5)
-    with pytest.raises(ValueError):
-        PerturbationSpec(-0.1)
-    with pytest.raises(ValueError):
-        PerturbationSpec(0.6)
+def test_perturbation_spec_range(pick_place_model):
+    perturb_hmm(pick_place_model, 0.0)
+    perturb_hmm(pick_place_model, 0.5)
+    with pytest.raises(ValueError, match=r"p_tilde -0.1 outside \[0, 0.5\]"):
+        perturb_hmm(pick_place_model, -0.1)
+    with pytest.raises(ValueError, match=r"p_tilde 0.6 outside \[0, 0.5\]"):
+        perturb_hmm(pick_place_model, 0.6)
 
 
 def test_perturb_zero_is_an_identity_copy(pick_place_model):
-    out = perturb_hmm(pick_place_model, PerturbationSpec(0.0, seed=4))
+    out = perturb_hmm(pick_place_model, 0.0, seed=4)
     assert out is not pick_place_model
     assert out.hmm is not pick_place_model.hmm
     assert np.array_equal(out.a, pick_place_model.a)
@@ -293,10 +289,10 @@ def test_perturb_scales_the_first_transition(pick_place_model):
     up = seed_with_first_draw(1)
     down = seed_with_first_draw(0)
     # state 0 leads with the success edge at 0.82
-    bumped = perturb_hmm(pick_place_model, PerturbationSpec(0.1, seed=up))
+    bumped = perturb_hmm(pick_place_model, 0.1, seed=up)
     assert bumped.a[0, 1] == pytest.approx(0.82 * 1.1)
     assert bumped.a[0, 5] == pytest.approx(1 - 0.82 * 1.1)
-    shrunk = perturb_hmm(pick_place_model, PerturbationSpec(0.1, seed=down))
+    shrunk = perturb_hmm(pick_place_model, 0.1, seed=down)
     assert shrunk.a[0, 1] == pytest.approx(0.82 * 0.9)
     for out in (bumped, shrunk):
         assert np.allclose(out.a.sum(axis=1), 1.0)
@@ -305,21 +301,21 @@ def test_perturb_scales_the_first_transition(pick_place_model):
 
 def test_perturb_clamps_into_the_probability_band(pick_place_model):
     up = seed_with_first_draw(1)
-    out = perturb_hmm(pick_place_model, PerturbationSpec(0.5, seed=up))
+    out = perturb_hmm(pick_place_model, 0.5, seed=up)
     assert out.a[0, 1] == pytest.approx(0.95)  # 0.82 * 1.5 hits the lid
     assert out.a[0, 5] == pytest.approx(0.05)
 
 
 def test_perturb_keeps_untouched_parts(pick_place_model):
-    out = perturb_hmm(pick_place_model, PerturbationSpec(0.3, seed=8))
+    out = perturb_hmm(pick_place_model, 0.3, seed=8)
     assert np.array_equal(out.b, pick_place_model.b)
     assert np.array_equal(out.pi, pick_place_model.pi)
     assert out.a[4, 4] == 1.0 and out.a[5, 5] == 1.0
 
 
 def test_perturb_signs_pair_across_levels(pick_place_model):
-    small = perturb_hmm(pick_place_model, PerturbationSpec(0.1, seed=13))
-    large = perturb_hmm(pick_place_model, PerturbationSpec(0.4, seed=13))
+    small = perturb_hmm(pick_place_model, 0.1, seed=13)
+    large = perturb_hmm(pick_place_model, 0.4, seed=13)
     for q in pick_place_model.leaf_states:
         c = np.nonzero(pick_place_model.a[q])[0][0]
         d1 = small.a[q, c] - pick_place_model.a[q, c]
@@ -353,8 +349,8 @@ def test_perturb_matches_the_per_row_loop(source, pick_place_model, patrol_model
         assert (labeled & (counts == 1)).any()  # the :ps 1 row: drawn for, then skipped
     for p_tilde in (0.1, 0.5):  # 0.5 hits the clamps
         for seed in range(6):
-            spec = PerturbationSpec(p_tilde, seed)
-            assert np.array_equal(perturb_hmm(model, spec).a, brute_perturb(model, spec).a)
+            assert np.array_equal(perturb_hmm(model, p_tilde, seed).a,
+                                  brute_perturb(model, p_tilde, seed).a)
 
 
 def test_randomize_hmm(pick_place_model):
@@ -532,6 +528,9 @@ def test_sweep_config_defaults(tmp_path):
     ("model = m.abt\nbw_updates = tx\n", "bw_updates"),
     ("ratios = 1\n", "model"),
     ("model = m.abt\njust some words\n", "key=value"),
+    ("model = m.abt\nperturbations = 0, rnd\n",
+     "sweep.cfg: perturbations: could not convert string to float: 'rnd'"),
+    ("model = m.abt\nratios =\n", "sweep.cfg: ratios: could not convert string to float: ''"),
 ])
 def test_sweep_config_rejects_bad_files(tmp_path, body, fragment):
     path = tmp_path / "sweep.cfg"
@@ -578,12 +577,12 @@ def test_sweep_cells_grid():
 def test_sweep_cells_start_models():
     cells = list(sweep_cells(small_cfg()))
     clean, drifted, noise = cells[3:]
-    assert np.array_equal(clean.start.a, clean.reference.a)
-    assert not np.array_equal(drifted.start.a, drifted.reference.a)
+    assert all(isinstance(c.start, DiscreteHMM) for c in (clean, drifted, noise))
+    assert np.array_equal(clean.start.transmat, clean.reference.a)
+    assert not np.array_equal(drifted.start.transmat, drifted.reference.a)
     assert np.array_equal(
-        drifted.start.a == 0, drifted.reference.a == 0
+        drifted.start.transmat == 0, drifted.reference.a == 0
     )
-    assert isinstance(noise.start, DiscreteHMM)
     assert (noise.start.transmat > 0).all()
 
 
@@ -615,7 +614,7 @@ def test_run_sweep_buckets_once_yet_matches_per_cell_calls():
     cells = list(sweep_cells(cfg))
     assert len(fwd) == len(bw) == len(cells) == 9
     for cell, f_row, b_row in zip(cells, fwd, bw):
-        model = getattr(cell.start, "hmm", cell.start)
+        model = cell.start
         seqs = cell.dataset.observations()
         assert f_row.logp_per_seq == model.score_total(seqs) / len(seqs)
         fitted = model.copy()
@@ -635,7 +634,7 @@ def test_run_sweep_viterbi_matches_per_sequence_decode():
     cells = list(sweep_cells(cfg))
     assert len(vit) == len(cells) == 9
     for cell, row in zip(cells, vit):
-        model = getattr(cell.start, "hmm", cell.start)
+        model = cell.start
         _, paths = model.decode_all(cell.dataset.observations())
         truths = cell.dataset.state_paths()
         assert row.mean_sed == np.mean([sed(p, t) for p, t in zip(paths, truths)])
@@ -695,3 +694,20 @@ def test_dataset_round_trip(tmp_path, pick_place):
     assert path.read_text().splitlines()[0] == "run,states,obs,outcome"
     back = read_dataset(path)
     assert back.runs == data.runs
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0 1,3 4", "a row has fewer than 4 columns"),
+    (f"0,0 {2**64},3 4,S", "a state or symbol is outside the int64 range"),
+    (f"0,0 {2**63},3 4,S", "a state or symbol is outside the int64 range"),
+    ("0,0 1.5,3 4,S", "invalid literal for int() with base 10: '1.5'"),
+    ("0,,,S", "a run has no visits"),
+    ("0,0 1,3,S", "2 states but 1 symbols"),
+    ("0,0 1,3 4,maybe", "outcome 'maybe' is neither 'S' nor 'F'"),
+])
+def test_read_dataset_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"run,states,obs,outcome\n0,0 1,3 4,F\n\n{row}\n1,0 1,3 4,S\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: line 4: {message}"

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from abthmm.compiler import compile_abt
 from abthmm.tree import (
     ABTDefinition,
     FAILURE,
@@ -133,6 +134,15 @@ def test_validate_abt_checks_nodes_before_rows():
     refused(abt, "root/sequence[1]: ps=1.5 outside [0, 1]")
     abt = abt_of(Sequence((short_leaf, make_leaf(1))))
     refused(abt, "root/sequence[0]:s: emission row has 4 entries, alphabet is 8")
+
+
+@pytest.mark.parametrize("name", ["a b", ":x", "", 3])
+def test_validate_abt_refuses_leaf_names_no_tree_file_holds(name):
+    abt = abt_of(Sequence((make_leaf(0), Leaf(name, LeafStats(0.5, uniform_row(8))))))
+    text = f"root/sequence[1]: leaf name {name!r} is not a name a tree file can hold"
+    refused(abt, text)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        compile_abt(abt)
 
 
 def test_tick_retry_repeats_until_success():

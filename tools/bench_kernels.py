@@ -91,8 +91,8 @@ def inputs(scale):
                              perturbations=(0.0,), n_sequences=max(2, round(15_000 * scale)),
                              master_seed=SEED)
     cell = next(abthmm.sweep_cells(cfg))
-    batch = hmm._bucket(hmm._pack(cell.dataset.observations(), cell.start.n_symbols))
-    yield "patrol", cell.start, batch, len(cell.dataset)
+    batch = hmm._bucket(hmm._pack(cell.dataset.observations(), cell.reference.n_symbols))
+    yield "patrol", cell.reference, batch, len(cell.dataset)
 
 
 def time_kernels(labeled, batch, runs, repeat):
