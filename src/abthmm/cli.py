@@ -27,7 +27,9 @@ from .compiler import (
 )
 from .divergence import divergence_table
 from .simulate import (
+    DEFAULT_N_SEQUENCES,
     DEFAULT_SEED,
+    SWEEP_KINDS,
     SweepConfig,
     rollout_dataset,
     run_sweep,
@@ -187,13 +189,13 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="roll out a tree into a dataset CSV")
     p.add_argument("tree")
-    p.add_argument("-n", "--num", type=int, default=15_000)
+    p.add_argument("-n", "--num", type=int, default=DEFAULT_N_SEQUENCES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run an experiment grid from a config file")
-    p.add_argument("--kind", choices=("forward", "viterbi", "bw"), required=True)
+    p.add_argument("--kind", choices=SWEEP_KINDS, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .validation import check_probability_vector, check_symbol_count
+from .validation import check_probability_vector, check_ratio, check_symbol_count
 
 _FLOOR = 1e-300
 
@@ -81,10 +81,7 @@ def synth_emissions(n_states, ratio, n_symbols=None):
     n, j = n_states, n_symbols
     if n < 1:
         raise ValueError("n_states must be positive")
-    if not math.isfinite(ratio):
-        raise ValueError(f"ratio must be finite, got {ratio}")
-    if ratio < 0:
-        raise ValueError("ratio must be non-negative")
+    check_ratio(ratio)
     what = f"a synthetic family of {n} rows at ratio {ratio}"
     if j is None:
         span = check_symbol_count((n + 1) * ratio * SIGMA, what)

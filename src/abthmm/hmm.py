@@ -194,25 +194,25 @@ class DiscreteHMM:
         self.history_ = []
         self.converged_ = False
         for _ in range(self.max_iter):
-            logp, a_num, a_den, pi_num, b_num, b_den = self._expectation(chunks)
+            logp, pi_num, a_num, b_num = self._expectation(chunks)
             self.history_.append(logp)
             if len(self.history_) > 1 and logp - self.history_[-2] < self.tol:
                 self.converged_ = True
                 break
             if "s" in self.updates:
-                self.startprob = pi_num / pi_num.sum()
+                self.startprob = _normalized(pi_num, self.startprob)
             if "t" in self.updates:
-                self.transmat = _normalized(a_num, a_den, self.transmat)
+                self.transmat = _normalized(a_num, self.transmat)
             if "e" in self.updates:
-                self.emissionprob = _normalized(b_num, b_den, self.emissionprob)
+                self.emissionprob = _normalized(b_num, self.emissionprob)
         self.n_iter_ = len(self.history_)
         return self
 
     def _expectation(self, chunks):
         """One E-step over a packed batch given as its ``_chunks``: the total
-        log-likelihood and the expected counts a_num, a_den, pi_num, b_num and
-        b_den. The transition counts are None unless "t" is in updates, the
-        emission counts None unless "e" is."""
+        log-likelihood and the expected counts pi_num, a_num and b_num. The
+        transition counts are None unless "t" is in updates, the emission
+        counts None unless "e" is."""
         n, j = self.n_states, self.n_symbols
         trans, emit = "t" in self.updates, "e" in self.updates
         a_num = np.zeros((n, n)) if trans else None
@@ -221,7 +221,6 @@ class DiscreteHMM:
         # view: one np.add.at per chunk is faster than one per step, and
         # than np.bincount on a wide alphabet.
         b_num = np.zeros((n, j)) if emit else None
-        b_den = np.zeros(n) if emit else None
         log_parts = []
         for sub in chunks:
             emis = _emissions(self, sub.obs)
@@ -245,18 +244,15 @@ class DiscreteHMM:
             if emit:
                 gamma = np.multiply(alpha, beta, out=alpha)  # weighted: a row sums to its weight
                 np.add.at(b_num.ravel(), (np.arange(n) * j + sub.obs[:, None]).ravel(), gamma.ravel())
-                b_den += np.ones(len(gamma)) @ gamma
-        # A state's expected transitions out of it are its expected visits
-        # before a last step: sum_j xi(i, j) = gamma(i).
-        a_den = a_num.sum(axis=1) if trans else None
-        return math.fsum(log_parts), a_num, a_den, pi_num, b_num, b_den
+        return math.fsum(log_parts), pi_num, a_num, b_num
 
 
-def _normalized(num, den, old):
-    """num / den row by row, written into num; a row with no expected
-    visits (den == 0) keeps old's values."""
-    seen = (den > 0)[:, None]
-    np.divide(num, den[:, None], out=num, where=seen)
+def _normalized(num, old):
+    """The M-step of a group: each row of counts (or the vector) over its own
+    sum, written into num; a row with no expected count keeps old's values."""
+    den = num.sum(axis=-1, keepdims=True)
+    seen = den > 0
+    np.divide(num, den, out=num, where=seen)
     np.copyto(num, old, where=~seen)
     return num
 

@@ -10,6 +10,7 @@ refit error over a grid of emission ratios and perturbation strengths.
 
 import csv
 import itertools
+import operator
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -20,10 +21,12 @@ from .compiler import LabeledHMM, compile_abt
 from .divergence import synth_emissions
 from .hmm import DiscreteHMM, _Packed, _bucket, _sample_batch, _viterbi_batch
 from .tree import FAILURE, SUCCESS, TickLimitError, VISIT_CAP
-from .validation import check_observations, check_updates
+from .validation import check_p_tilde, check_ratio, check_run_count, check_updates
 
 DEFAULT_N_SEQUENCES = 15_000
 DEFAULT_SEED = 12061
+# What run_sweep can measure of a grid cell (see its docstring).
+SWEEP_KINDS = ("forward", "viterbi", "bw")
 
 @dataclass(frozen=True)
 class Run:
@@ -88,8 +91,7 @@ def rollout_dataset(abt, n, seed, *, model=None):
     not finish within the visit cap (a retry loop that cannot exit) raises
     TickLimitError.
     """
-    if n < 1:
-        raise ValueError(f"need at least one run, got {n}")
+    check_run_count(n)
     if model is None:
         model = compile_abt(abt)
     try:
@@ -157,8 +159,7 @@ def perturb_hmm(model, p_tilde, seed=0):
     of zero returns an unchanged copy. Raises ValueError for p_tilde
     outside [0, 0.5].
     """
-    if not (0.0 <= p_tilde <= 0.5):
-        raise ValueError(f"p_tilde {p_tilde} outside [0, 0.5]")
+    check_p_tilde(p_tilde)
     new = replace(model, hmm=model.hmm.copy())
     if p_tilde == 0.0:
         return new
@@ -312,13 +313,21 @@ class SweepConfig:
     bw_updates: str = "t"
 
     def __post_init__(self):
-        check_updates(self.bw_updates, "bw_updates")
+        """Check every field but the tree path, which the sweep opens, so
+        that a bad value is refused when the config is built, as
+        "<key>: ...", and not deep inside a sweep."""
+        for key, check in _CONFIG_CHECKS.items():
+            try:
+                check(getattr(self, key))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{key}: {err}") from None
 
     @classmethod
     def from_file(cls, path):
-        """Read a flat key=value config file; unknown keys are an error, and
-        so is a value its key cannot parse, named as "<path>: <key>: ..."."""
-        values = {}
+        """Read a flat key=value config file. An unknown or repeated key is
+        an error, and so is a value its key cannot parse or refuses, named
+        as "<path>: <key>: ..."."""
+        values, lines = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -327,19 +336,24 @@ class SweepConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
+                if key in values:
+                    raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+                values[key], lines[key] = value, lineno
         unknown = set(values) - set(_CONFIG_PARSERS)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         if "model" not in values:
-            raise ValueError("config needs a model=<path> line")
+            raise ValueError(f"{path}: config needs a model=<path> line")
         parsed = {}
         for key, text in values.items():
             try:
                 parsed[key] = _CONFIG_PARSERS[key](text)
             except ValueError as err:
                 raise ValueError(f"{path}: {key}: {err}") from None
-        return cls(**parsed)
+        try:
+            return cls(**parsed)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _perturbation(text):
@@ -347,6 +361,27 @@ def _perturbation(text):
     text = text.strip()
     return "random" if text == "random" else float(text)
 
+
+def _check_grid(values, check):
+    """A grid axis: at least one value, each passing check."""
+    if not len(values):
+        raise ValueError("the grid needs at least one value")
+    for value in values:
+        check(value)
+
+
+def _check_perturbation(value):
+    if value != "random":
+        check_p_tilde(float(value))
+
+
+_CONFIG_CHECKS = {
+    "ratios": lambda values: _check_grid(values, check_ratio),
+    "perturbations": lambda values: _check_grid(values, _check_perturbation),
+    "n_sequences": check_run_count,
+    "master_seed": operator.index,
+    "bw_updates": check_updates,
+}
 
 _CONFIG_PARSERS = {
     "model": str,
@@ -426,24 +461,23 @@ def run_sweep(cfg, kind):
     ones, "bw" refits the drifted model and reports how far it lands
     from the reference.
     """
-    if kind not in ("forward", "viterbi", "bw"):
+    if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     rows = []
     # The cells of a ratio come one after another and share one dataset,
-    # which is checked and packed once for all of them. Taking them by
-    # count, not by comparing datasets, keeps the next ratio's dataset
-    # from being made before this one's cells are done.
+    # sampled from the reference, so in range, and packed once for all of
+    # them. Taking them by count, not by comparing datasets, keeps the next
+    # ratio's dataset from being made before this one's cells are done.
     grid = sweep_cells(cfg)
     while cells := list(itertools.islice(grid, len(cfg.perturbations))):
         dataset, reference = cells[0].dataset, cells[0].reference
         models = [c.start for c in cells]
         lengths = dataset.lengths
-        batch = _Packed.of(check_observations(dataset.obs, reference.n_symbols), lengths)
+        batch = _Packed.of(dataset.obs, lengths)
         if kind == "viterbi":
             # The true paths have the observations' lengths, so they pack
             # in the same row order.
-            truths = _Packed.of(check_observations(
-                dataset.states, reference.n_states, "states"), lengths)
+            truths = _Packed.of(dataset.states, lengths)
             mean_seds = _mean_seds(models, batch, truths)
         else:
             batch = _bucket(batch)

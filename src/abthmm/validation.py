@@ -5,6 +5,9 @@ and returns the validated value (numbers as a float64 numpy array) so
 callers can use the result directly.
 """
 
+import math
+import operator
+
 import numpy as np
 
 # How far from 1 a probability vector or stochastic row may sum.
@@ -54,27 +57,50 @@ def check_stochastic_matrix(m, name="matrix"):
     return m
 
 
-def check_updates(updates, name="updates"):
+def check_updates(updates):
     """The Baum-Welch parameter groups to refit: any of "s", "t", "e"."""
     if set(updates) - set("ste"):
-        raise ValueError(f"{name} must only contain 's', 't', 'e': {updates!r}")
+        raise ValueError(f"updates must only contain 's', 't', 'e': {updates!r}")
     return updates
 
 
-def check_observations(obs, n_symbols, name="obs"):
+def check_ratio(ratio):
+    """An emission ratio: finite and non-negative."""
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio}")
+    if ratio < 0:
+        raise ValueError("ratio must be non-negative")
+    return ratio
+
+
+def check_p_tilde(p_tilde):
+    """A perturbation strength: in [0, 0.5]."""
+    if not (0.0 <= p_tilde <= 0.5):
+        raise ValueError(f"p_tilde {p_tilde} outside [0, 0.5]")
+    return p_tilde
+
+
+def check_run_count(n):
+    """A number of rollout runs: a positive integer."""
+    if operator.index(n) < 1:
+        raise ValueError(f"need at least one run, got {n}")
+    return n
+
+
+def check_observations(obs, n_symbols):
     obs = np.asarray(obs)
     if obs.ndim != 1:
-        raise ValueError(f"{name} must be a flat sequence, got shape {obs.shape}")
+        raise ValueError(f"obs must be a flat sequence, got shape {obs.shape}")
     if obs.size == 0:
-        raise ValueError(f"{name} is empty")
+        raise ValueError("obs is empty")
     if not np.issubdtype(obs.dtype, np.integer):
         as_int = obs.astype(np.int64)
         if np.any(as_int != obs):
-            raise ValueError(f"{name} contains non-integer symbols")
+            raise ValueError("obs contains non-integer symbols")
         obs = as_int
     if obs.min() < 0 or obs.max() >= n_symbols:
         raise ValueError(
-            f"{name} contains symbol {int(obs[np.argmax((obs < 0) | (obs >= n_symbols))])} "
+            f"obs contains symbol {int(obs[np.argmax((obs < 0) | (obs >= n_symbols))])} "
             f"outside [0, {n_symbols})"
         )
     return obs.astype(np.int64)

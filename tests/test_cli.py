@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from abthmm import dsl
+from abthmm import dsl, simulate
 from abthmm.cli import build_parser, main
 from abthmm.compiler import EdgeLabel, compile_abt, load_model, save_model
 from abthmm.simulate import read_dataset, read_metrics
@@ -115,6 +116,20 @@ def test_sweep_rejects_zero_sequences(tmp_path, capsys):
     assert main(["sweep", "--kind", "forward", "--config", str(cfg), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least one run" in err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_bad_config_before_any_rollout(tmp_path, capsys, monkeypatch):
+    def rollout(*args, **kwargs):
+        raise AssertionError("a dataset was rolled out")
+
+    monkeypatch.setattr(simulate, "rollout_dataset", rollout)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"model = {PICK}\nratios = 1\nperturbations = 0, 0.7\nn_sequences = 5\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["sweep", "--kind", "forward", "--config", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {cfg}: perturbations: p_tilde 0.7 outside [0, 0.5]"]
     assert not out.exists()
 
 
@@ -433,3 +448,35 @@ def test_subcommand_help_after_the_parser_is_built(capsys):
         main(["sweep", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: abthmm sweep")
+
+
+# SHA-256 of the file each command line writes, with SWEEP_CONFIG as the
+# sweep config. A change that moves any of these must say why; the sweep
+# digests are the same on every host measured.
+SWEEP_CONFIG = (f"model = {MODELS / 'patrol.abt'}\nn_sequences = 300\n"
+                "ratios = 0, 0.25, 1, 2.5, 5\nperturbations = 0, 0.25, random\n")
+PINNED_OUTPUTS = [
+    (["sweep", "--kind", "forward", "--config", "sweep.cfg"],
+     "4d3f0a6be587b995e4aa6e8ec2aec65666ab228d940c4991bad8bc82f22807f3"),
+    (["sweep", "--kind", "viterbi", "--config", "sweep.cfg"],
+     "08c546d29b9576f0b267bd113cb590dbbacff8ab0aff5b5b39faf0da79fd3735"),
+    (["sweep", "--kind", "bw", "--config", "sweep.cfg"],
+     "affbf733baec5197bef4463e11518e5cc84a0b2fb3c75e5275076aa2c129e17e"),
+    (["table1"], "bb4fda094deefd37df4ff366f45330b1a10a6efb06999023896403f2ff1e090e"),
+    (["table1", "--sizes", "3,40", "--ratios", "0,0.1,7"],
+     "aabadd2a54ca5f355084dc8bb8dfea4f031b9fea9e53e63419bb2785d7e818bb"),
+    (["simulate", str(REPO / "perfbench" / "trees" / "parallel_retry.abt"), "-n", "500"],
+     "3827cd4883252bdc1819447030b43f479e96a25eb127e497095dd3cd8ab084c2"),
+    (["compile", str(MODELS / "patrol.abt")],
+     "df3683f3340f216385103ec4283a4be5712e6b89776a8a7c58c84404f1e698ef"),
+    (["compile", str(MODELS / "pick_place.abt")],
+     "9db1b8adb2e900396bdffd15c475bac7ad549582072e8d2d254751b8cf747323"),
+]
+
+
+def test_command_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
+    for argv, want in PINNED_OUTPUTS:
+        assert main([*argv, "-o", "out"]) == 0
+        assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == want, argv

@@ -361,11 +361,13 @@ def test_kernels_stay_finite_under_a_subnormal_emission():
     shifts = [np.count_nonzero(obs == 2) * math.log(tiny) for obs in seqs]
     for obs, shift, score in zip(seqs, shifts, scores):
         assert score == pytest.approx(brute_forward(pi, a, scaled, obs) + shift, rel=1e-12)
-    want = brute_expectation(pi, a, scaled, seqs, weights)
-    want_total = want[0] + sum(w * shift for w, shift in zip(weights, shifts))
+    logp, a_num, a_den, pi_num, b_num, b_den = brute_expectation(pi, a, scaled, seqs, weights)
+    want_total = logp + sum(w * shift for w, shift in zip(weights, shifts))
     assert total == pytest.approx(want_total, rel=1e-12)
     assert got[0] == pytest.approx(want_total, rel=1e-12)
-    for g, w in zip(got[1:], want[1:]):
+    got_pi, got_a, got_b = got[1:]
+    for g, w in ((got_pi, pi_num), (got_a, a_num), (got_a.sum(axis=1), a_den),
+                 (got_b, b_num), (got_b.sum(axis=1), b_den)):
         np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
@@ -550,16 +552,47 @@ def test_expectation_matches_path_sums(seed, updates):
     weights = rng.uniform(0.1, 3.0, size=len(seqs))
     model = DiscreteHMM(pi, a, b, updates=updates)
     got = model._expectation(model._chunks(_bucket(_pack(seqs, b.shape[1]), weights)))
-    want = brute_expectation(pi, a, b, seqs, weights)
-    assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
-    # a_num, a_den, pi_num, b_num, b_den: transition counts only with "t",
-    # emission counts only with "e"
-    made = ("t" in updates, "t" in updates, True, "e" in updates, "e" in updates)
-    for g, w, m in zip(got[1:], want[1:], made):
-        if m:
-            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+    logp, a_num, a_den, pi_num, b_num, b_den = brute_expectation(pi, a, b, seqs, weights)
+    got_logp, got_pi, got_a, got_b = got
+    assert got_logp == pytest.approx(logp, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(got_pi, pi_num, rtol=1e-9, atol=1e-12)
+    # Transition counts only with "t", emission counts only with "e". The
+    # row sums are the M-step's denominators: a state's expected transitions
+    # out are its expected visits before a last step, and its expected
+    # emissions are its expected visits.
+    for made, g, num, den in (("t" in updates, got_a, a_num, a_den),
+                              ("e" in updates, got_b, b_num, b_den)):
+        if made:
+            np.testing.assert_allclose(g, num, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(g.sum(axis=1), den, rtol=1e-9, atol=1e-12)
         else:
             assert g is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), updates=st.sampled_from(["s", "t", "e", "ste"]))
+def test_one_fit_iteration_divides_each_group_by_its_row_sums(seed, updates):
+    # The M-step oracle: each refitted group is the path-sum counts over
+    # their row sums; a row with no expected count, and a group not in
+    # updates, keeps its old values.
+    rng = np.random.default_rng(seed)
+    pi, a, b, _ = random_hmm_instance(rng, max_states=3, max_symbols=3)
+    seqs = [rng.integers(0, b.shape[1], size=int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(1, 7)))]
+    weights = rng.uniform(0.1, 3.0, size=len(seqs))
+    model = DiscreteHMM(pi, a, b, updates=updates, max_iter=1)
+    model.fit(seqs, weights)
+    assert model.n_iter_ == 1
+    _, a_num, _, pi_num, b_num, _ = brute_expectation(pi, a, b, seqs, weights)
+    for group, got, num, old in (("s", model.startprob, pi_num[None], pi[None]),
+                                 ("t", model.transmat, a_num, a),
+                                 ("e", model.emissionprob, b_num, b)):
+        if group in updates:
+            den = num.sum(axis=1, keepdims=True)
+            want = np.where(den > 0, num / np.where(den > 0, den, 1.0), old)
+            np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-9, atol=1e-12)
+        else:
+            assert np.array_equal(got.reshape(old.shape), old)
 
 
 def test_fit_preserves_structural_zeros(pick_place_model):

@@ -531,12 +531,44 @@ def test_sweep_config_defaults(tmp_path):
     ("model = m.abt\nperturbations = 0, rnd\n",
      "sweep.cfg: perturbations: could not convert string to float: 'rnd'"),
     ("model = m.abt\nratios =\n", "sweep.cfg: ratios: could not convert string to float: ''"),
+    ("model = m.abt\nratios = 0, -1\n", "sweep.cfg: ratios: ratio must be non-negative"),
+    ("model = m.abt\nratios = inf\n", "sweep.cfg: ratios: ratio must be finite, got inf"),
+    ("model = m.abt\nperturbations = 0, 0.7\n",
+     r"sweep.cfg: perturbations: p_tilde 0.7 outside \[0, 0.5\]"),
+    ("model = m.abt\nn_sequences = 0\n", "sweep.cfg: n_sequences: need at least one run, got 0"),
+    ("model = m.abt\nratios = 1\n# again\nratios = 2\n",
+     "sweep.cfg:4: ratios is already set on line 2"),
+    ("model = m.abt\nspeed = 9\n", "sweep.cfg: unknown config keys"),
 ])
 def test_sweep_config_rejects_bad_files(tmp_path, body, fragment):
     path = tmp_path / "sweep.cfg"
     path.write_text(body)
     with pytest.raises(ValueError, match=fragment):
         SweepConfig.from_file(path)
+
+
+@pytest.mark.parametrize("field, fragment", [
+    (dict(ratios=()), "ratios: the grid needs at least one value"),
+    (dict(perturbations=()), "perturbations: the grid needs at least one value"),
+    (dict(ratios=(1.0, -0.5)), "ratios: ratio must be non-negative"),
+    (dict(perturbations=(0.0, "rnd")), "perturbations: could not convert string to float: 'rnd'"),
+    (dict(perturbations=(0.6,)), r"perturbations: p_tilde 0.6 outside \[0, 0.5\]"),
+    (dict(n_sequences=0), "n_sequences: need at least one run, got 0"),
+    (dict(n_sequences=2.5), "n_sequences: 'float' object cannot be interpreted as an integer"),
+    (dict(master_seed="7"), "master_seed: 'str' object cannot be interpreted as an integer"),
+])
+def test_sweep_config_checks_every_field_when_built(field, fragment):
+    # A missing tree file is not opened: the config is refused first.
+    with pytest.raises(ValueError, match=fragment):
+        SweepConfig(**{"model": "no-such-tree.abt", **field})
+    with pytest.raises(ValueError, match=fragment):  # replace builds a new config
+        replace(SweepConfig(model="no-such-tree.abt"), **field)
+
+
+def test_shipped_sweep_configs_pass_the_checks():
+    for path in sorted((REPO / "perfbench" / "configs").glob("*.cfg")):
+        cfg = replace(SweepConfig.from_file(path), n_sequences=100, master_seed=1)
+        assert cfg.n_sequences == 100
 
 
 def test_sweep_config_rejects_unknown_bw_updates():
