@@ -10,13 +10,16 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
 from .validation import (
+    check_max_iter,
     check_observations,
     check_probability_vector,
     check_stochastic_matrix,
+    check_tol,
     check_updates,
 )
 
@@ -25,8 +28,18 @@ class ImpossibleSequenceError(ValueError):
     """The observation sequence has probability zero under the model."""
 
 
+def _parameter(name):
+    """A read-only parameter array; assigning one checks it as the constructor does."""
+    return property(lambda self: self._params[name],
+                    lambda self, value: self._assign(**{name: value}))
+
+
 class DiscreteHMM:
     """Hidden Markov model over a finite symbol alphabet.
+
+    The three parameter arrays are read-only, so ``copy()`` and fitted
+    copies share them. To change one, assign a new array
+    (``m.transmat = a``); it is checked as the constructor checks it.
 
     Parameters
     ----------
@@ -58,21 +71,32 @@ class DiscreteHMM:
 
     def __init__(self, startprob, transmat, emissionprob, *, max_iter=100,
                  tol=1e-4, updates="ste"):
-        self.startprob = check_probability_vector(startprob, "startprob")
-        self.transmat = check_stochastic_matrix(transmat, "transmat")
-        self.emissionprob = check_stochastic_matrix(emissionprob, "emissionprob")
-        n = self.startprob.shape[0]
-        if self.transmat.shape != (n, n):
-            raise ValueError(
-                f"transmat shape {self.transmat.shape} does not match {n} states"
-            )
-        if self.emissionprob.shape[0] != n:
-            raise ValueError(
-                f"emissionprob has {self.emissionprob.shape[0]} rows for {n} states"
-            )
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
+        self._params = {}
+        self._assign(startprob=startprob, transmat=transmat, emissionprob=emissionprob)
+        self.max_iter = check_max_iter(max_iter)
+        self.tol = check_tol(tol)
         self.updates = check_updates(updates)
+
+    startprob = _parameter("startprob")
+    transmat = _parameter("transmat")
+    emissionprob = _parameter("emissionprob")
+
+    def _assign(self, check=True, **arrays):
+        """Store parameter arrays as read-only views, which copies share.
+        Shapes are always checked, values unless ``check`` is false."""
+        for name, value in arrays.items():
+            if check:
+                value = (check_probability_vector if name == "startprob"
+                         else check_stochastic_matrix)(value, name)
+            arrays[name] = value = value.view()
+            value.flags.writeable = False
+        params = {**self._params, **arrays}
+        n = params["startprob"].shape[0]
+        if params["transmat"].shape != (n, n):
+            raise ValueError(f"transmat shape {params['transmat'].shape} does not match {n} states")
+        if params["emissionprob"].shape[0] != n:
+            raise ValueError(f"emissionprob has {params['emissionprob'].shape[0]} rows for {n} states")
+        self._params = params
 
     @property
     def n_states(self):
@@ -83,14 +107,11 @@ class DiscreteHMM:
         return self.emissionprob.shape[1]
 
     def copy(self):
-        return DiscreteHMM(
-            self.startprob.copy(),
-            self.transmat.copy(),
-            self.emissionprob.copy(),
-            max_iter=self.max_iter,
-            tol=self.tol,
-            updates=self.updates,
-        )
+        """A model with the same settings, sharing the read-only parameters."""
+        new = DiscreteHMM.__new__(DiscreteHMM)
+        new._params = self._params
+        new.max_iter, new.tol, new.updates = self.max_iter, self.tol, self.updates
+        return new
 
     # ------------------------------------------------------------------
     # likelihood
@@ -188,6 +209,8 @@ class DiscreteHMM:
 
     def _fit_batch(self, batch):
         check_updates(self.updates)
+        check_max_iter(self.max_iter)
+        check_tol(self.tol)
         if not batch.weights.sum() > 0:
             raise ValueError("no sequences to fit")
         chunks = self._chunks(batch)  # planned once for every iteration
@@ -200,11 +223,11 @@ class DiscreteHMM:
                 self.converged_ = True
                 break
             if "s" in self.updates:
-                self.startprob = _normalized(pi_num, self.startprob)
+                self._assign(False, startprob=_normalized(pi_num, self.startprob))
             if "t" in self.updates:
-                self.transmat = _normalized(a_num, self.transmat)
+                self._assign(False, transmat=_normalized(a_num, self.transmat))
             if "e" in self.updates:
-                self.emissionprob = _normalized(b_num, self.emissionprob)
+                self._assign(False, emissionprob=_normalized(b_num, self.emissionprob))
         self.n_iter_ = len(self.history_)
         return self
 
@@ -267,7 +290,8 @@ def _sample_batch(model, n, rng, absorbing, max_steps=10_000):
 
     A run starts from startprob, emits in every visited state and stops
     right after emitting once in a state of ``absorbing`` (None: the states
-    with a unit self-loop). A step's even uniform picks its state by one
+    with a unit self-loop; a given state must be an integer in [0, n_states),
+    else ValueError names it). A step's even uniform picks its state by one
     ``bisect_right`` in the previous state's cumulative row of transmat
     (startprob's before a run), made a list on first visit; its odd uniform
     picks the symbol from the state's cumulative emission row after the walk.
@@ -283,7 +307,11 @@ def _sample_batch(model, n, rng, absorbing, max_steps=10_000):
     n_states = model.n_states
     if absorbing is None:
         absorbing = np.flatnonzero(model.transmat.diagonal() == 1.0).tolist()
-    absorbing = {int(i) for i in absorbing}.intersection(range(n_states))
+    absorbing = set(absorbing)
+    for q in absorbing:
+        if not (isinstance(q, numbers.Integral) and 0 <= q < n_states):
+            raise ValueError(f"absorbing state {q!r} is not a state in [0, {n_states})")
+    absorbing = {int(q) for q in absorbing}
     if not absorbing:
         raise ValueError("model has no absorbing states; pass them explicitly")
     stops_at = np.array([q in absorbing for q in range(n_states)])

@@ -163,7 +163,7 @@ def perturb_hmm(model, p_tilde, seed=0):
     new = replace(model, hmm=model.hmm.copy())
     if p_tilde == 0.0:
         return new
-    a = new.hmm.transmat
+    a = model.hmm.transmat.copy()
     rows = np.flatnonzero([e is not None for e in model.edges])
     # One sign per labeled row, in row order, drawn even for a row that is
     # then skipped for not having exactly two non-zeros.
@@ -175,6 +175,7 @@ def perturb_hmm(model, p_tilde, seed=0):
     p1 = np.clip((1.0 + p_tilde * signs) * a[rows, c1], 0.05, 0.95)
     a[rows, c1] = p1
     a[rows, c2] = 1.0 - p1
+    new.hmm.transmat = a
     return new
 
 
@@ -186,9 +187,7 @@ def randomize_hmm(model, seed):
     n = model.n_states
     a = rng.random((n, n))
     a /= a.sum(axis=1, keepdims=True)
-    return DiscreteHMM(
-        model.hmm.startprob.copy(), a, model.hmm.emissionprob.copy()
-    )
+    return DiscreteHMM(model.hmm.startprob, a, model.hmm.emissionprob)
 
 
 def with_synthetic_emissions(model, ratio):
@@ -198,10 +197,7 @@ def with_synthetic_emissions(model, ratio):
     ratio * divergence.SIGMA apart on the symbol axis.
     """
     rows = synth_emissions(model.n_states, ratio)
-    return replace(
-        model,
-        hmm=DiscreteHMM(model.hmm.startprob.copy(), model.hmm.transmat.copy(), rows),
-    )
+    return replace(model, hmm=DiscreteHMM(model.hmm.startprob, model.hmm.transmat, rows))
 
 
 # ----------------------------------------------------------------------

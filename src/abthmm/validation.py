@@ -6,6 +6,7 @@ callers can use the result directly.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -64,6 +65,20 @@ def check_updates(updates):
     return updates
 
 
+def check_max_iter(max_iter):
+    """A Baum-Welch iteration cap: an integer, at least 1."""
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    return int(max_iter)
+
+
+def check_tol(tol):
+    """A Baum-Welch convergence tolerance: a number, at least 0 (not NaN)."""
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ValueError(f"tol must be a number of at least 0, got {tol!r}")
+    return float(tol)
+
+
 def check_ratio(ratio):
     """An emission ratio: finite and non-negative."""
     if not math.isfinite(ratio):
@@ -103,4 +118,4 @@ def check_observations(obs, n_symbols):
             f"obs contains symbol {int(obs[np.argmax((obs < 0) | (obs >= n_symbols))])} "
             f"outside [0, {n_symbols})"
         )
-    return obs.astype(np.int64)
+    return obs.astype(np.int64, copy=False)

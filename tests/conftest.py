@@ -586,7 +586,7 @@ def brute_perturb(model, p_tilde, seed):
     if p_tilde == 0.0:
         return new
     rng = np.random.default_rng(seed)
-    a = new.hmm.transmat
+    a = new.hmm.transmat.copy()
     for i in range(model.n_states):
         if model.edges[i] is None:
             continue
@@ -598,6 +598,7 @@ def brute_perturb(model, p_tilde, seed):
         p1 = float(np.clip((1.0 + p_tilde * r) * a[i, c1], 0.05, 0.95))
         a[i, c1] = p1
         a[i, c2] = 1.0 - p1
+    new.hmm.transmat = a
     return new
 
 

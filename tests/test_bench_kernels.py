@@ -1,5 +1,6 @@
 """tools/bench_kernels.py at a tiny size: every kernel is timed on both inputs,
-and one in-process command line and one compilation are timed."""
+copy and the memory of a fit on the simulate input, and one in-process command
+line and one compilation are timed."""
 
 import importlib.util
 import json
@@ -22,3 +23,5 @@ def test_bench_kernels_prints_every_kernel_time(capsys):
         assert entry["chunks"] >= 1
         for kernel in ("sample_s", "forward_s", "backward_s", "expectation_s"):
             assert entry[kernel] > 0
+    fit = doc["inputs"]["simulate_fit"]
+    assert fit["copy_s"] > 0 and fit["fit_peak_mb"] > 0

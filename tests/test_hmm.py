@@ -17,7 +17,11 @@ from abthmm.hmm import (
     _pack,
     _sample_batch,
 )
-from abthmm.validation import check_probability_vector, check_stochastic_matrix
+from abthmm.validation import (
+    check_observations,
+    check_probability_vector,
+    check_stochastic_matrix,
+)
 
 from conftest import (
     brute_bucket,
@@ -99,12 +103,16 @@ def test_model_refuses_nan_parameters():
             DiscreteHMM(*args)
 
 
-def test_copy_keeps_hyperparameters_and_owns_its_arrays():
+def test_copy_keeps_hyperparameters_and_shares_read_only_arrays():
     m = tiny_model(tol=1e-3, max_iter=7)
     c = m.copy()
     assert (c.tol, c.max_iter, c.updates) == (1e-3, 7, m.updates)
-    c.transmat[0, 0] = 1.0
-    assert m.transmat[0, 0] == 0.4
+    for name in ("startprob", "transmat", "emissionprob"):
+        assert np.shares_memory(getattr(c, name), getattr(m, name))
+    with pytest.raises(ValueError, match="read-only"):
+        c.transmat[0, 0] = 1.0
+    c.transmat = [[1.0, 0.0], [0.0, 1.0]]
+    assert m.transmat[0, 0] == 0.4 and c.transmat[0, 0] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -509,6 +517,12 @@ def test_sample_caps_runaway_chains():
         spin.sample(np.random.default_rng(0), absorbing=(1,), max_steps=50)
 
 
+@pytest.mark.parametrize("state", [1.5, 5, -1])
+def test_sample_refuses_an_absorbing_state_outside_the_model(state):
+    with pytest.raises(ValueError, match=re.escape(f"absorbing state {state} is not a state in [0, 2)")):
+        tiny_model().sample(0, absorbing=[state])
+
+
 # ----------------------------------------------------------------------
 # Baum-Welch
 
@@ -648,6 +662,51 @@ def test_fit_refuses_updates_set_after_construction():
     model.updates = "x"
     with pytest.raises(ValueError, match="updates must only contain"):
         model.fit([[0, 1, 0]])
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(max_iter=-1), "max_iter must be an integer of at least 1, got -1"),
+    (dict(max_iter=2.7), "max_iter must be an integer of at least 1, got 2.7"),
+    (dict(tol=float("nan")), "tol must be a number of at least 0, got nan"),
+])
+def test_fit_refuses_an_iteration_cap_or_tolerance_that_never_runs_or_never_stops(
+        setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_model(**setting)
+    model = tiny_model()  # as the sweep and the benchmark do: set after construction
+    for name, value in setting.items():
+        setattr(model, name, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.fit([[0, 1, 0]])
+
+
+def test_fit_of_a_copy_stores_new_read_only_arrays_and_leaves_the_original_alone():
+    m = tiny_model()
+    before = {name: getattr(m, name).copy() for name in ("startprob", "transmat", "emissionprob")}
+    fitted = m.copy().fit([[0, 1, 1], [0, 0, 1]])
+    for name, old in before.items():
+        assert np.array_equal(getattr(m, name), old)
+        assert not np.shares_memory(getattr(fitted, name), getattr(m, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fitted, name)[0] = 0.5
+
+
+def test_assigning_a_parameter_runs_the_constructors_checks():
+    m = tiny_model()
+    with pytest.raises(ValueError, match=re.escape("transmat row 0 sums to 1.1, expected 1")):
+        m.transmat = [[0.5, 0.6], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=re.escape("transmat shape (3, 3) does not match 2 states")):
+        m.transmat = np.eye(3)
+    with pytest.raises(ValueError, match="emissionprob has 1 rows for 2 states"):
+        m.emissionprob = [[0.5, 0.5]]
+    with pytest.raises(ValueError, match="startprob has negative or NaN entries"):
+        m.startprob = [np.nan, 1.0]
+    assert np.array_equal(m.transmat, [[0.4, 0.6], [0.0, 1.0]])
+
+
+def test_check_observations_keeps_int64_input_uncopied():
+    obs = np.array([0, 1, 1])
+    assert check_observations(obs, 2) is obs
 
 
 def test_fit_weights_match_repetition():

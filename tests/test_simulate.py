@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from abthmm import hmm as hmm_module
 from abthmm import parse
 from abthmm import simulate
-from abthmm.compiler import compile_abt
+from abthmm.compiler import compile_abt, load_model, save_model
 from abthmm.hmm import DiscreteHMM, _Packed
 from abthmm.simulate import (
     METRIC_COLUMNS,
@@ -351,6 +352,60 @@ def test_perturb_matches_the_per_row_loop(source, pick_place_model, patrol_model
         for seed in range(6):
             assert np.array_equal(perturb_hmm(model, p_tilde, seed).a,
                                   brute_perturb(model, p_tilde, seed).a)
+
+
+def test_every_way_to_make_a_model_gives_read_only_parameters(
+        pick_place, pick_place_model, tmp_path):
+    save_model(pick_place_model, tmp_path / "model.json")
+    fitted = pick_place_model.hmm.copy()
+    fitted.max_iter = 2
+    fitted.fit(rollout_dataset(pick_place, 30, seed=3, model=pick_place_model).observations())
+    models = {
+        "constructor": DiscreteHMM([1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], [[1.0], [1.0]]),
+        "compile_abt": compile_abt(pick_place).hmm,
+        "load_model": load_model(tmp_path / "model.json").hmm,
+        "with_synthetic_emissions": with_synthetic_emissions(pick_place_model, 0.5).hmm,
+        "randomize_hmm": randomize_hmm(pick_place_model, 2),
+        "perturb_hmm": perturb_hmm(pick_place_model, 0.2, 1).hmm,
+        "copy": pick_place_model.hmm.copy(),
+        "fit": fitted,
+    }
+    for source, model in models.items():
+        for name in ("startprob", "transmat", "emissionprob"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0] = 0.0
+                pytest.fail(f"{source}: {name} is writable")
+
+
+def test_perturbing_and_fitting_a_copy_leave_the_input_bit_identical(pick_place):
+    model = compile_abt(pick_place)
+    before = [x.tobytes() for x in (model.pi, model.a, model.b)]
+    perturbed = perturb_hmm(model, 0.3, seed=4)
+    assert not np.array_equal(perturbed.a, model.a)
+    assert np.shares_memory(perturbed.b, model.b)
+    fitted = model.hmm.copy()
+    fitted.max_iter = 3
+    fitted.fit(rollout_dataset(pick_place, 50, seed=4, model=perturbed).observations())
+    assert not np.array_equal(fitted.transmat, model.a)
+    assert [x.tobytes() for x in (model.pi, model.a, model.b)] == before
+
+
+def test_copy_and_a_transition_fit_do_not_duplicate_the_emission_matrix():
+    # The benchmark's fit stage at 200 runs: the 10.2 MB product-state
+    # emission matrix is shared with the copy, never copied.
+    abt = parse((REPO / "perfbench" / "trees" / "parallel_retry.abt").read_text())
+    model = compile_abt(abt)
+    obs = rollout_dataset(abt, 200, seed=12061, model=model).observations()
+    tracemalloc.start()
+    try:
+        fitted = model.hmm.copy()
+        fitted.updates, fitted.max_iter = "t", 2
+        fitted.fit(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fitted.n_iter_ >= 1
+    assert peak < model.b.nbytes / 4
 
 
 def test_randomize_hmm(pick_place_model):

@@ -21,6 +21,10 @@ emissions gathered beforehand (the backward pass overwrites them, so it
 runs on a fresh copy, made outside the timed call); ``_expectation`` is
 timed whole.
 
+On ``simulate_fit`` only, ``copy_s`` times ``labeled.hmm.copy()`` and
+``fit_peak_mb`` is the ``tracemalloc`` peak of one copy plus a 10-iteration
+``updates="t"`` fit of the input's runs: the benchmark's ``fit`` stage.
+
 ``cli_call_s`` times the fixed cost of one in-process command line apart
 from the kernels: ``cli.main(["count", "-l", "3"])`` with stdout captured,
 after one untimed call. ``compile_s`` times ``compile_abt`` of
@@ -41,6 +45,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,23 +84,22 @@ def fastest(fn, repeat, setup=None):
 
 
 def inputs(scale):
-    """(name, labeled model, bucketed batch, run count) for each fixed input."""
+    """(name, labeled model, observation sequences) for each fixed input."""
     with open(PARALLEL_RETRY, encoding="utf-8") as fh:
         abt = abthmm.parse(fh.read())
     data = abthmm.rollout_dataset(abt, max(2, round(1500 * scale)), SEED)
-    model = abthmm.compile_abt(abt)
-    batch = hmm._bucket(hmm._pack(data.observations(), model.n_symbols))
-    yield "simulate_fit", model, batch, len(data)
+    yield "simulate_fit", abthmm.compile_abt(abt), data.observations()
 
     cfg = abthmm.SweepConfig(model=str(ROOT / "models" / "patrol.abt"), ratios=(0.25,),
                              perturbations=(0.0,), n_sequences=max(2, round(15_000 * scale)),
                              master_seed=SEED)
     cell = next(abthmm.sweep_cells(cfg))
-    batch = hmm._bucket(hmm._pack(cell.dataset.observations(), cell.reference.n_symbols))
-    yield "patrol", cell.reference, batch, len(cell.dataset)
+    yield "patrol", cell.reference, cell.dataset.observations()
 
 
-def time_kernels(labeled, batch, runs, repeat):
+def time_kernels(labeled, sequences, repeat):
+    runs = len(sequences)
+    batch = hmm._bucket(hmm._pack(sequences, labeled.n_symbols))
     model = labeled.hmm.copy()
     model.updates = "t"
     subs = model._chunks(batch)
@@ -134,6 +138,21 @@ def time_kernels(labeled, batch, runs, repeat):
     }
 
 
+def time_copy_fit(labeled, sequences, repeat):
+    def copy_fit():
+        fitted = labeled.hmm.copy()
+        fitted.updates, fitted.max_iter = "t", 10
+        fitted.fit(sequences)
+
+    tracemalloc.start()
+    try:
+        copy_fit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"copy_s": fastest(labeled.hmm.copy, repeat), "fit_peak_mb": peak / 1e6}
+
+
 def time_cli_call(repeat):
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -158,7 +177,8 @@ def main(argv=None):
                   "runs on a freshly seeded generator; forward_s and backward_s sum the "
                   "batch's chunks with the emissions gathered beforehand; cli_call_s is an "
                   "in-process cli.main(['count', '-l', '3']) after one untimed call; "
-                  "compile_s is compile_abt of an already parsed tree",
+                  "compile_s is compile_abt of an already parsed tree; fit_peak_mb is the "
+                  "tracemalloc peak of a copy and a 10-iteration transition fit",
         "machine": platform.machine(),
         "processor": platform.processor(),
         "python": platform.python_version(),
@@ -168,9 +188,12 @@ def main(argv=None):
         "seed": SEED,
         "cli_call_s": time_cli_call(args.repeat),
         "compile_s": time_compile(args.repeat),
-        "inputs": {name: time_kernels(model, batch, runs, args.repeat)
-                   for name, model, batch, runs in inputs(args.scale)},
+        "inputs": {},
     }
+    for name, model, sequences in inputs(args.scale):
+        entry = doc["inputs"][name] = time_kernels(model, sequences, args.repeat)
+        if name == "simulate_fit":
+            entry.update(time_copy_fit(model, sequences, args.repeat))
     print(json.dumps(doc, indent=1))
     return 0
 
